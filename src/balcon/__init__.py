@@ -82,7 +82,6 @@ from .solver import (
     force_fit,
     force_fit_balanced,
     force_fit_lopsided,
-    prohibitor_filter,
 )
 
 __version__ = "0.1.0"

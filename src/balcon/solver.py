@@ -14,6 +14,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import cycle
 from typing import Callable, Optional, Sequence
 
 from .classify import DEFAULT_ALPHA, ClusterClass, Stash, classify
@@ -40,13 +41,13 @@ __all__ = [
     "choose_host_lopsided",
     "force_fit_balanced",
     "force_fit_lopsided",
-    "prohibitor_filter",
     "DEFAULT_FORCE_STEP_LIMIT",
     "DEFAULT_REPEAT_LIMIT",
 ]
 
 DEFAULT_FORCE_STEP_LIMIT = 4000
 DEFAULT_REPEAT_LIMIT = 3
+_BUDGET_EXHAUSTED = "force-step budget exhausted"
 
 TraceSink = Optional[Callable[[dict], None]]
 
@@ -92,10 +93,6 @@ class RepeatsProhibitor:
         else:
             self.last = h
             self.count = 1
-
-
-def prohibitor_filter(p: RepeatsProhibitor, candidates: Sequence[int]) -> list[int]:
-    return p.filter(candidates)
 
 
 class ResourceToggle:
@@ -339,6 +336,36 @@ def force_fit_lopsided(v: int, h: int, mu: Mapping) -> list[int]:
     return _evict_place_readd(v, h, mu, order)
 
 
+def _run_out_cycle(
+    period: list[ClusterClass],
+    steps: int,
+    counts: Counter[str],
+    limit: int,
+    trace: TraceSink,
+) -> ForceFitResult:
+    """Finish an attempt whose loop state has come back to an earlier state.
+
+    ``period`` holds the classes of the iterations since that earlier state;
+    the attempt would go round them until the budget ran out.  Whole turns
+    are added arithmetically, then the last partial turn is replayed up to
+    the classification that finds the budget spent, so the result equals the
+    one the budget-exhausting loop returns.
+    """
+    p = sum(1 for cls in period if cls is not ClusterClass.AMPLE)
+    if trace is not None:
+        trace({"event": "cycle", "step": steps, "period": p})
+    turns = (limit - steps) // p
+    for cls in period:
+        counts[cls.value] += turns
+    steps += turns * p
+    for cls in cycle(period):
+        counts[cls.value] += 1
+        if cls is not ClusterClass.AMPLE:
+            if steps >= limit:
+                return ForceFitResult(steps, dict(counts), False, _BUDGET_EXHAUSTED)
+            steps += 1
+
+
 def force_fit(
     stash: Stash,
     hosts: Sequence[int],
@@ -349,26 +376,51 @@ def force_fit(
     """Drain the stash into ``hosts``, mutating ``mu``.
 
     Direct placements are free; Balanced/Lopsided placements consume Force
-    Steps up to the budget.  On budget exhaustion, or when some VM fits no
-    host even empty, the stash is left non-empty and the mapping stays
-    partial, which the caller rejects.
+    Steps up to the budget ``params.force_step_limit``.  The budget is an
+    upper bound on the work done: an attempt that revisits a loop state can
+    only go round the same cycle until the budget runs out, so it ends at
+    once with the report that running out the budget would have given.  On
+    budget exhaustion, or when some VM fits no host even empty, the stash is
+    left non-empty and the mapping stays partial, which the caller rejects.
     """
+    limit = params.force_step_limit
     steps = 0
     counts: Counter[str] = Counter()
     prohibitor = RepeatsProhibitor(params.repeat_limit)
     toggle = ResourceToggle("cpu")
+    # Brent's cycle detection on the state between iterations: the
+    # assignment (its None entries fix the stash set, and heap keys are
+    # unique, so peek/pop depend on the set alone), the prohibitor's last
+    # host and its count capped at the limit (filter reads only
+    # count >= limit), and the toggle.  Tracking starts after the first
+    # Force Step: before it only Ample placements happen and the stash
+    # strictly shrinks, so no state can repeat.
+    host_of = mu._host_of
+    snap_state = snap_host_of = None
+    period: list[ClusterClass] = []  # classes of the iterations since the snapshot
+    power = 0
     while stash:
+        if steps:
+            state = (prohibitor.last, min(prohibitor.count, prohibitor.limit), toggle.r)
+            if state == snap_state and host_of == snap_host_of:
+                return _run_out_cycle(period, steps, counts, limit, trace)
+            if len(period) == power:
+                snap_state, snap_host_of = state, host_of.copy()
+                period = []
+                power = max(2 * power, 1)
         v = stash.peek()
         cls = classify(stash, hosts, mu, v, params.alpha)
         counts[cls.value] += 1
+        if snap_state is not None:
+            period.append(cls)
         if cls is ClusterClass.AMPLE:
             stash.pop()
             dest = best_fit(v, hosts, mu)
             if trace is not None:
                 trace({"event": "place", "class": cls.value, "vm": v, "host": dest})
             continue
-        if steps >= params.force_step_limit:
-            return ForceFitResult(steps, dict(counts), False, "force-step budget exhausted")
+        if steps >= limit:
+            return ForceFitResult(steps, dict(counts), False, _BUDGET_EXHAUSTED)
         if cls is ClusterClass.BALANCED:
             dest = choose_host_balanced(v, hosts, mu, prohibitor)
         else:

@@ -26,7 +26,6 @@ from balcon import (
     force_fit_lopsided,
     migrated_memory,
     objective,
-    prohibitor_filter,
 )
 from balcon.sercon import sercon_modified
 
@@ -39,16 +38,30 @@ def params_for(mph) -> SolverParams:
     return SolverParams(weights=ObjectiveWeights.from_mph(mph))
 
 
+# (lopsided, balanced) class counts of the fig2 red-host attempt for the
+# budgets 0..64, recorded from the loop that ran every force step out
+FIG2_RED_COUNTS = [
+    (1, 0), (2, 0), (2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 3), (5, 4), (6, 4),
+    (6, 5), (7, 5), (7, 6), (8, 6), (8, 7), (9, 7), (9, 8), (10, 8), (10, 9), (11, 9),
+    (11, 10), (12, 10), (12, 11), (13, 11), (13, 12), (14, 12), (14, 13), (15, 13),
+    (15, 14), (16, 14), (16, 15), (17, 15), (17, 16), (18, 16), (18, 17), (19, 17),
+    (19, 18), (20, 18), (20, 19), (21, 19), (21, 20), (22, 20), (22, 21), (23, 21),
+    (23, 22), (24, 22), (24, 23), (25, 23), (25, 24), (26, 24), (26, 25), (27, 25),
+    (27, 26), (28, 26), (28, 27), (29, 27), (29, 28), (30, 28), (30, 29), (31, 29),
+    (31, 30), (32, 30), (32, 31), (33, 31), (33, 32),
+]
+
+
 class TestRepeatsProhibitor:
     def test_fresh_passes_everything(self):
         p = RepeatsProhibitor(3)
-        assert prohibitor_filter(p, [0, 1, 2]) == [0, 1, 2]
+        assert p.filter([0, 1, 2]) == [0, 1, 2]
 
     def test_blocks_after_limit(self):
         p = RepeatsProhibitor(3)
         for _ in range(3):
             p.record(7)
-        assert prohibitor_filter(p, [5, 7, 9]) == [5, 9]
+        assert p.filter([5, 7, 9]) == [5, 9]
 
     def test_reset_on_other_choice(self):
         p = RepeatsProhibitor(3)
@@ -57,7 +70,7 @@ class TestRepeatsProhibitor:
         p.record(2)
         p.record(1)
         assert p.count == 1
-        assert prohibitor_filter(p, [1, 2]) == [1, 2]
+        assert p.filter([1, 2]) == [1, 2]
 
 
 class TestBestFit:
@@ -275,6 +288,62 @@ class TestForceFit:
         assert result.force_steps == INF_PARAMS.force_step_limit
         assert not mu.is_total()
 
+    def test_fig2_red_host_counts_are_exact_for_every_budget(self, fig2):
+        for limit, (lopsided, balanced) in enumerate(FIG2_RED_COUNTS):
+            mu = fig2.initial_mapping()
+            mu.unassign(RED)
+            params = replace(INF_PARAMS, force_step_limit=limit)
+            result = force_fit(Stash(fig2, [RED]), [1, 2], mu, params)
+            expected = {"lopsided": lopsided, "balanced": balanced} if balanced else {"lopsided": lopsided}
+            assert (result.force_steps, result.class_counts) == (limit, expected), limit
+            assert result.reason == "force-step budget exhausted"
+
+    def test_fig2_red_host_cycle_extrapolates_to_a_huge_budget(self, fig2):
+        mu = fig2.initial_mapping()
+        mu.unassign(RED)
+        params = replace(INF_PARAMS, force_step_limit=10**9)
+        result = force_fit(Stash(fig2, [RED]), [1, 2], mu, params)
+        assert not result.completed
+        assert result.force_steps == 10**9
+        assert result.class_counts == {"lopsided": 500000001, "balanced": 500000000}
+
+    def test_single_destination_cycle_is_found_past_the_repeat_limit(self):
+        # Host 0 is the only destination: the prohibitor's fallback keeps
+        # choosing it, so its repeat count climbs without bound while the
+        # mapping swaps the two VMs back and forth.  Counts recorded from the
+        # loop that ran every force step out, plus 10**9 steps.
+        hosts = [Host(0, ResourceVec(4, 4)), Host(1, ResourceVec(4, 4))]
+        inst = Instance(hosts, [Flavor(0, ResourceVec(3, 3))], [VM(0, 0), VM(1, 0)], [0, 1])
+        for limit in (*range(8), 10, 100, 1000, 10**9):
+            mu = inst.initial_mapping()
+            mu.unassign(1)
+            params = replace(INF_PARAMS, force_step_limit=limit)
+            result = force_fit(Stash(inst, [1]), [0], mu, params)
+            assert not result.completed
+            assert result.force_steps == limit
+            assert result.class_counts == {"lopsided": limit + 1}
+
+    def test_toggle_is_part_of_the_cycle_state(self):
+        # Releasing host 2 comes back to an earlier mapping and prohibitor
+        # state with the resource toggle pointing the other way; treating
+        # that as a cycle would give 1998 ample placements.  Counts recorded
+        # from the loop that ran every force step out.
+        caps = [(7, 10), (6, 9), (6, 8), (6, 9)]
+        demands = [(1, 4), (3, 1), (1, 1), (2, 4)]
+        inst = Instance(
+            [Host(i, ResourceVec(c, m)) for i, (c, m) in enumerate(caps)],
+            [Flavor(i, ResourceVec(c, m)) for i, (c, m) in enumerate(demands)],
+            [VM(i, f) for i, f in enumerate([1, 2, 1, 2, 2, 0, 0, 1, 3, 2, 2, 1, 3])],
+            [0, 2, 0, 3, 1, 2, 0, 2, 3, 2, 1, 1, 3],
+        )
+        _, report = balcon(inst, INF_PARAMS)
+        assert [(a.host, a.force_steps, a.class_counts) for a in report.attempts] == [
+            (1, 4000, {"lopsided": 4001}),
+            (0, 4000, {"ample": 1333, "lopsided": 4001}),
+            (2, 4000, {"ample": 1091, "lopsided": 4001}),
+            (3, 4000, {"lopsided": 4001}),
+        ]
+
     def test_budget_zero_blocks_force_steps_not_placements(self, fig2):
         params = replace(INF_PARAMS, force_step_limit=0)
         mu = fig2.initial_mapping()
@@ -351,9 +420,16 @@ class TestBalcon:
 
     def test_trace_sink_receives_events(self, fig2):
         events = []
-        balcon(fig2, params_for(0), trace=events.append)
+        _, report = balcon(fig2, params_for(0), trace=events.append)
         kinds = {e["event"] for e in events}
         assert "release_attempt" in kinds and "release_result" in kinds
+        # the attempt on host 0 revisits a state after 8 force steps; one
+        # cycle event stands in for the 3992 steps it no longer runs
+        assert [e for e in events if e["event"] == "cycle"] == [
+            {"event": "cycle", "step": 8, "period": 4}
+        ]
+        assert report.force_steps == 1 + 4000 + 5
+        assert sum(e["event"] == "force_step" for e in events) == 1 + 8 + 5
 
     def test_report_metrics_consistent(self, fig2):
         mu0 = fig2.initial_mapping()
