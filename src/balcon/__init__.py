@@ -46,15 +46,10 @@ from .model import (
     ObjectiveWeights,
     ResourceVec,
     VM,
-    active_hosts,
-    angle_key,
-    fits,
-    free,
     host_migration_cost,
     instance_from_dict,
     instance_to_dict,
     instance_with_mapping,
-    load,
     load_instance,
     migrated_memory,
     objective,

@@ -31,10 +31,8 @@ from .evaluate import (
     write_profile_csv,
     write_sweep_csv,
 )
-from .ilp import ModelKind, SolutionError, emit_model, lp_suffix, read_solution
+from .ilp import ModelKind, emit_model, lp_suffix, read_solution
 from .model import (
-    InfeasibleInstanceError,
-    InstanceFormatError,
     ObjectiveWeights,
     ResourceVec,
     instance_with_mapping,
@@ -42,7 +40,7 @@ from .model import (
     save_instance,
 )
 from .classify import DEFAULT_ALPHA
-from .oracle import OracleLimits, OracleSizeError, brute_force_optimal
+from .oracle import OracleLimits, brute_force_optimal
 from .sercon import SerconOriginalParams, sercon_modified, sercon_original
 from .solver import (
     DEFAULT_FORCE_STEP_LIMIT,
@@ -392,17 +390,9 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 1
     try:
         return args.func(args)
-    except (
-        InstanceFormatError,
-        InfeasibleInstanceError,
-        OracleSizeError,
-        GenerationError,
-        SolutionError,
-        FileNotFoundError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    # malformed or infeasible instances, oversized oracle runs and bad
+    # solution dumps raise ValueError subclasses
+    except (ValueError, GenerationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

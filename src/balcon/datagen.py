@@ -14,9 +14,11 @@ reconstructions: memory uniform on [1, capacity/2], fill target 0.9, at most
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .classify import balance_factor
 from .model import Flavor, Host, Instance, ResourceVec, VM
@@ -77,46 +79,55 @@ def generate_flavors(cfg: GenConfig, rng: random.Random) -> tuple[list[Flavor], 
 
 def generate_instance(cfg: GenConfig) -> Instance:
     rng = random.Random(cfg.seed)
-    flavors, weights = generate_flavors(cfg, rng)
+    flavors, _ = generate_flavors(cfg, rng)
     cap = cfg.host_capacity
-    pool_cpu = cfg.num_hosts * cap.cpu
-    pool_mem = cfg.num_hosts * cap.mem
-    target_cpu = cfg.target_fill * pool_cpu
-    target_mem = cfg.target_fill * pool_mem
+    target_cpu = cfg.target_fill * (cfg.num_hosts * cap.cpu)
+    target_mem = cfg.target_fill * (cfg.num_hosts * cap.mem)
+    f_cpu = [f.demand.cpu for f in flavors]
+    f_mem = [f.demand.mem for f in flavors]
 
-    sample_weights = [float(w) for w in weights]
+    population = range(cfg.num_flavors)
+    cum_weights = list(accumulate(1 / c for c in f_cpu))  # float(weights[f]) == 1 / f_cpu[f]
     chosen: list[int] = []
     total_cpu = 0
     total_mem = 0
     # every flavor demands >= 1 of each resource, so this terminates
     while total_cpu < target_cpu and total_mem < target_mem:
-        f = rng.choices(range(cfg.num_flavors), weights=sample_weights, k=1)[0]
+        f = rng.choices(population, cum_weights=cum_weights, k=1)[0]
         chosen.append(f)
-        total_cpu += flavors[f].demand.cpu
-        total_mem += flavors[f].demand.mem
+        total_cpu += f_cpu[f]
+        total_mem += f_mem[f]
 
     if cfg.mode == "lopsided":
-        order = sorted(
-            range(len(chosen)),
-            key=lambda i: Fraction(flavors[chosen[i]].demand.cpu, flavors[chosen[i]].demand.mem),
-            reverse=True,
-        )
+        # Load angle descending, by cpu/mem over the common denominator of
+        # the flavor memories: an exact integer per flavor, equal for equal
+        # angles, so ties keep arrival order.
+        den = math.lcm(*f_mem)
+        angle = [c * (den // m) for c, m in zip(f_cpu, f_mem)]
+        keys = [angle[f] for f in chosen]
+        order = sorted(range(len(chosen)), key=keys.__getitem__, reverse=True)
     else:
-        order = list(range(len(chosen)))
+        order = range(len(chosen))
 
     load_c = [0] * cfg.num_hosts
     load_m = [0] * cfg.num_hosts
+    # Loads only grow, so a host that once failed to hold a flavor never
+    # holds it later: First Fit for flavor f starts at first_fit[f].
+    first_fit = [0] * cfg.num_flavors
     placements: list[tuple[int, int]] = []  # (flavor, host)
     failures = 0
     for idx in order:
-        demand = flavors[chosen[idx]].demand
-        for h in range(cfg.num_hosts):
-            if load_c[h] + demand.cpu <= cap.cpu and load_m[h] + demand.mem <= cap.mem:
-                load_c[h] += demand.cpu
-                load_m[h] += demand.mem
-                placements.append((chosen[idx], h))
+        f = chosen[idx]
+        c, m = f_cpu[f], f_mem[f]
+        for h in range(first_fit[f], cfg.num_hosts):
+            if load_c[h] + c <= cap.cpu and load_m[h] + m <= cap.mem:
+                load_c[h] += c
+                load_m[h] += m
+                placements.append((f, h))
+                first_fit[f] = h
                 break
         else:
+            first_fit[f] = cfg.num_hosts
             failures += 1
             if failures > MAX_PLACEMENT_FAILURES:
                 raise GenerationError(

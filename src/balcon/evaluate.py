@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -185,12 +185,7 @@ def mph_sweep(
         if base_params is None:
             params = SolverParams(weights=weights)
         else:
-            params = SolverParams(
-                weights=weights,
-                alpha=base_params.alpha,
-                force_step_limit=base_params.force_step_limit,
-                repeat_limit=base_params.repeat_limit,
-            )
+            params = replace(base_params, weights=weights)
         lb = None if lb_objectives is None else lb_objectives.get(mph)
         ref_kind, ref_obj = resolve_reference(inst, weights, oracle_limits, lb)
         mu0 = inst.initial_mapping()

@@ -2,8 +2,9 @@
 
 Capacities, loads and demands are pairs of non-negative integers (cpu cores,
 memory units); all bookkeeping is exact integer arithmetic.  Scalar measures
-(relative VM size, surrogate host load, load angles) are exact rationals so
-that every ordering decision is deterministic and platform independent.
+(relative VM size, surrogate host load) are exact rationals, and the solver
+orders by them through integer cross products, so that every ordering
+decision is deterministic and platform independent.
 """
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import le, ne
 from pathlib import Path
 from typing import Sequence
 
@@ -24,12 +27,6 @@ __all__ = [
     "ObjectiveWeights",
     "InstanceFormatError",
     "InfeasibleInstanceError",
-    "angle_key",
-    "angle_cmp",
-    "load",
-    "free",
-    "fits",
-    "active_hosts",
     "migrated_memory",
     "objective",
     "host_migration_cost",
@@ -63,6 +60,8 @@ class ResourceVec:
     mem: int
 
     def __post_init__(self) -> None:
+        if type(self.cpu) is int and type(self.mem) is int and self.cpu >= 0 and self.mem >= 0:
+            return
         for name in ("cpu", "mem"):
             value = getattr(self, name)
             if type(value) is not int:
@@ -85,30 +84,6 @@ class ResourceVec:
 
     def as_tuple(self) -> tuple[int, int]:
         return (self.cpu, self.mem)
-
-
-def angle_key(r: ResourceVec) -> Fraction | float:
-    """Key ordering resource vectors by their load angle arctan(cpu/mem).
-
-    ``mem == 0`` sorts as the maximal angle.  Undefined for the zero vector;
-    callers must exclude zero-load entities.
-    """
-    if r.cpu == 0 and r.mem == 0:
-        raise ValueError("load angle is undefined for the zero vector")
-    if r.mem == 0:
-        return math.inf
-    return Fraction(r.cpu, r.mem)
-
-
-def angle_cmp(a_cpu: int, a_mem: int, b_cpu: int, b_mem: int) -> int:
-    """Exact three-way angle comparison via integer cross products.
-
-    Returns -1/0/1 as angle(a) is below/equal/above angle(b).  Both vectors
-    must be non-zero.
-    """
-    lhs = a_cpu * b_mem
-    rhs = b_cpu * a_mem
-    return (lhs > rhs) - (lhs < rhs)
 
 
 @dataclass(frozen=True)
@@ -215,29 +190,32 @@ class Instance:
         for i, f in enumerate(self.flavors):
             if f.id != i:
                 raise InstanceFormatError(f"flavors[{i}].id must be {i}, got {f.id}")
+        n_hosts, n_flavors = len(self.hosts), len(self.flavors)
         for i, v in enumerate(self.vms):
             if v.id != i:
                 raise InstanceFormatError(f"vms[{i}].id must be {i}, got {v.id}")
-            if not 0 <= v.flavor < len(self.flavors):
+            if not 0 <= v.flavor < n_flavors:
                 raise InstanceFormatError(f"vms[{i}].flavor: unknown flavor id {v.flavor}")
         if len(initial_hosts) != len(self.vms):
             raise InstanceFormatError(
                 f"initial mapping covers {len(initial_hosts)} VMs, expected {len(self.vms)}"
             )
-        self._vm_cpu = tuple(self.flavors[v.flavor].demand.cpu for v in self.vms)
-        self._vm_mem = tuple(self.flavors[v.flavor].demand.mem for v in self.vms)
-        self._cap_cpu = tuple(h.capacity.cpu for h in self.hosts)
-        self._cap_mem = tuple(h.capacity.mem for h in self.hosts)
+        flavor_cpu = [f.demand.cpu for f in self.flavors]
+        flavor_mem = [f.demand.mem for f in self.flavors]
+        self._vm_cpu = tuple([flavor_cpu[v.flavor] for v in self.vms])
+        self._vm_mem = tuple([flavor_mem[v.flavor] for v in self.vms])
+        self._cap_cpu = tuple([h.capacity.cpu for h in self.hosts])
+        self._cap_mem = tuple([h.capacity.mem for h in self.hosts])
 
         initial = tuple(initial_hosts)
-        load_c = [0] * len(self.hosts)
-        load_m = [0] * len(self.hosts)
-        for v, h in enumerate(initial):
-            if not (type(h) is int and 0 <= h < len(self.hosts)):
+        load_c = [0] * n_hosts
+        load_m = [0] * n_hosts
+        for v, (h, c, m) in enumerate(zip(initial, self._vm_cpu, self._vm_mem)):
+            if not (type(h) is int and 0 <= h < n_hosts):
                 raise InstanceFormatError(f"vms[{v}].host: unknown host id {h!r}")
-            load_c[h] += self._vm_cpu[v]
-            load_m[h] += self._vm_mem[v]
-        for h in range(len(self.hosts)):
+            load_c[h] += c
+            load_m[h] += m
+        for h in range(n_hosts):
             if load_c[h] > self._cap_cpu[h]:
                 raise InfeasibleInstanceError(
                     f"initial mapping overloads host {h} in cpu ({load_c[h]} > {self._cap_cpu[h]})"
@@ -255,7 +233,7 @@ class Instance:
         if tot_cpu > 0 and tot_mem > 0:
             self._size_den = tot_cpu * tot_mem
             self._size_num = tuple(
-                self._vm_cpu[v] * tot_mem + self._vm_mem[v] * tot_cpu for v in range(len(self.vms))
+                [c * tot_mem + m * tot_cpu for c, m in zip(self._vm_cpu, self._vm_mem)]
             )
         else:
             self._size_den = 0
@@ -318,9 +296,15 @@ class Mapping:
     Unassigned VMs are the ones sitting in whatever stash the caller holds.
     A mapping is feasible iff it is total and every host load stays within
     capacity in both dimensions.
+
+    A tentative change is an attempt: ``begin()`` opens an undo journal,
+    ``rollback()`` restores the mapping as it was at ``begin()`` and
+    ``commit()`` keeps the change.  Attempts do not nest, and ``rollback()``
+    replaces the assignment and load lists, so no caller may hold
+    ``_host_of``, ``_load_c`` or ``_load_m`` across an attempt.
     """
 
-    __slots__ = ("inst", "_host_of", "_load_c", "_load_m", "_members")
+    __slots__ = ("inst", "_host_of", "_load_c", "_load_m", "_members", "_journal", "_snapshot")
 
     def __init__(self, inst: Instance, assignment: Sequence[int | None]) -> None:
         n_hosts = len(inst.hosts)
@@ -339,15 +323,53 @@ class Mapping:
             self._load_c[h] += inst.vm_cpu(v)
             self._load_m[h] += inst.vm_mem(v)
             self._members[h].add(v)
+        self._journal: list[int] | None = None
+        self._snapshot = None
 
     def copy(self) -> "Mapping":
+        """An independent copy of the assignment, outside any attempt."""
         dup = object.__new__(Mapping)
         dup.inst = self.inst
         dup._host_of = self._host_of.copy()
         dup._load_c = self._load_c.copy()
         dup._load_m = self._load_m.copy()
         dup._members = [s.copy() for s in self._members]
+        dup._journal = dup._snapshot = None
         return dup
+
+    def begin(self) -> None:
+        """Open an attempt: later changes can be undone by ``rollback()``."""
+        if self._journal is not None:
+            raise RuntimeError("an attempt is already open on this mapping")
+        self._snapshot = (self._host_of.copy(), self._load_c.copy(), self._load_m.copy())
+        self._journal = []  # every VM assigned or unassigned since begin()
+
+    def commit(self) -> None:
+        """Close the open attempt and keep its changes."""
+        if self._journal is None:
+            raise RuntimeError("no attempt is open on this mapping")
+        self._journal = self._snapshot = None
+
+    def rollback(self) -> None:
+        """Close the open attempt and restore the mapping as of ``begin()``."""
+        if self._journal is None:
+            raise RuntimeError("no attempt is open on this mapping")
+        host_of, load_c, load_m = self._snapshot
+        now = self._host_of
+        touched = self._journal
+        if len(touched) > len(now):
+            # a long attempt touched VMs many times over: compare every VM
+            touched = compress(range(len(now)), map(ne, host_of, now))
+        members = self._members
+        for v in touched:
+            old, new = host_of[v], now[v]
+            if old != new:
+                if new is not None:
+                    members[new].discard(v)
+                if old is not None:
+                    members[old].add(v)
+        self._host_of, self._load_c, self._load_m = host_of, load_c, load_m
+        self._journal = self._snapshot = None
 
     @property
     def assignment(self) -> tuple[int | None, ...]:
@@ -360,18 +382,26 @@ class Mapping:
         if self._host_of[v] is not None:
             raise ValueError(f"vm {v} is already assigned")
         self._host_of[v] = h
-        self._load_c[h] += self.inst.vm_cpu(v)
-        self._load_m[h] += self.inst.vm_mem(v)
+        inst = self.inst
+        self._load_c[h] += inst._vm_cpu[v]
+        self._load_m[h] += inst._vm_mem[v]
         self._members[h].add(v)
+        journal = self._journal
+        if journal is not None:
+            journal.append(v)
 
     def unassign(self, v: int) -> int:
         h = self._host_of[v]
         if h is None:
             raise ValueError(f"vm {v} is not assigned")
         self._host_of[v] = None
-        self._load_c[h] -= self.inst.vm_cpu(v)
-        self._load_m[h] -= self.inst.vm_mem(v)
+        inst = self.inst
+        self._load_c[h] -= inst._vm_cpu[v]
+        self._load_m[h] -= inst._vm_mem[v]
         self._members[h].discard(v)
+        journal = self._journal
+        if journal is not None:
+            journal.append(v)
         return h
 
     def load(self, h: int) -> ResourceVec:
@@ -396,7 +426,7 @@ class Mapping:
 
     def fits(self, v: int, h: int) -> bool:
         fc, fm = self.free_parts(h)
-        return self.inst.vm_cpu(v) <= fc and self.inst.vm_mem(v) <= fm
+        return self.inst._vm_cpu[v] <= fc and self.inst._vm_mem[v] <= fm
 
     def members(self, h: int) -> set[int]:
         return self._members[h]
@@ -408,20 +438,19 @@ class Mapping:
         return [h for h in range(len(self.inst.hosts)) if self._members[h]]
 
     def active_count(self) -> int:
-        return sum(1 for m in self._members if m)
+        return sum(map(bool, self._members))
 
     def unassigned_vms(self) -> list[int]:
         return [v for v, h in enumerate(self._host_of) if h is None]
 
     def is_total(self) -> bool:
-        return all(h is not None for h in self._host_of)
+        return None not in self._host_of
 
     def is_feasible(self) -> bool:
-        if not self.is_total():
-            return False
-        return all(
-            self._load_c[h] <= self.inst._cap_cpu[h] and self._load_m[h] <= self.inst._cap_mem[h]
-            for h in range(len(self.inst.hosts))
+        return (
+            self.is_total()
+            and all(map(le, self._load_c, self.inst._cap_cpu))
+            and all(map(le, self._load_m, self.inst._cap_mem))
         )
 
     def caches_consistent(self) -> bool:
@@ -445,36 +474,11 @@ class Mapping:
         return f"Mapping({self._host_of!r})"
 
 
-# Operations mirroring the mapping methods, for callers that prefer the
-# functional spelling.
-
-
-def load(h: int, mu: Mapping) -> ResourceVec:
-    return mu.load(h)
-
-
-def free(h: int, mu: Mapping) -> ResourceVec:
-    return mu.free(h)
-
-
-def fits(v: int, h: int, mu: Mapping) -> bool:
-    return mu.fits(v, h)
-
-
-def active_hosts(mu: Mapping) -> list[int]:
-    return mu.active_hosts()
-
-
 def migrated_memory(mu: Mapping, mu0: Mapping) -> int:
     """Total memory of VMs whose host differs from the initial mapping."""
     if not mu.is_total():
         raise ValueError("migrated memory requires a total mapping")
-    inst = mu.inst
-    return sum(
-        inst.vm_mem(v)
-        for v in range(len(inst.vms))
-        if mu._host_of[v] != mu0._host_of[v]
-    )
+    return sum(compress(mu.inst._vm_mem, map(ne, mu._host_of, mu0._host_of)))
 
 
 def objective(mu: Mapping, mu0: Mapping, weights: ObjectiveWeights):
@@ -499,7 +503,10 @@ def vm_size(v: int, inst: Instance) -> Fraction:
 
 
 def surrogate_load(h: int, mu: Mapping) -> Fraction:
-    """Sum of the per-resource load fractions of a host."""
+    """Sum of the per-resource load fractions of a host.
+
+    The exact definition; the solver's hot paths compare it by integer
+    cross products (``solver._surrogate_gt``)."""
     lc, lm = mu.load_parts(h)
     inst = mu.inst
     return Fraction(lc, inst._cap_cpu[h]) + Fraction(lm, inst._cap_mem[h])
@@ -512,13 +519,26 @@ def surrogate_load(h: int, mu: Mapping) -> Fraction:
 # The "host" field of each VM defines the initial mapping.
 
 
-def _require_int(obj: dict, key: str, where: str) -> int:
+def _require_int(obj: dict, key: str, kind: str, i: int) -> int:
     if key not in obj:
-        raise InstanceFormatError(f"{where}: missing field {key!r}")
+        raise InstanceFormatError(f"{kind}[{i}]: missing field {key!r}")
     value = obj[key]
     if type(value) is not int:
-        raise InstanceFormatError(f"{where}.{key}: expected an integer, got {value!r}")
+        raise InstanceFormatError(f"{kind}[{i}].{key}: expected an integer, got {value!r}")
     return value
+
+
+def _capacities(doc: dict, kind: str, cls) -> list:
+    # hosts and flavors: an id and a strictly positive (cpu, mem) vector
+    out = []
+    for i, entry in enumerate(doc[kind]):
+        ident = _require_int(entry, "id", kind, i)
+        vec = ResourceVec(_require_int(entry, "cpu", kind, i), _require_int(entry, "mem", kind, i))
+        try:
+            out.append(cls(ident, vec))
+        except ValueError as exc:
+            raise InstanceFormatError(f"{kind}[{i}]: {exc}") from exc
+    return out
 
 
 def instance_from_dict(doc: dict) -> Instance:
@@ -529,31 +549,13 @@ def instance_from_dict(doc: dict) -> Instance:
             raise InstanceFormatError(f"missing top-level field {key!r}")
         if not isinstance(doc[key], list):
             raise InstanceFormatError(f"{key}: expected a list")
-    hosts = []
-    for i, entry in enumerate(doc["hosts"]):
-        where = f"hosts[{i}]"
-        hid = _require_int(entry, "id", where)
-        cap = ResourceVec(_require_int(entry, "cpu", where), _require_int(entry, "mem", where))
-        try:
-            hosts.append(Host(hid, cap))
-        except ValueError as exc:
-            raise InstanceFormatError(f"{where}: {exc}") from exc
-    flavors = []
-    for i, entry in enumerate(doc["flavors"]):
-        where = f"flavors[{i}]"
-        fid = _require_int(entry, "id", where)
-        dem = ResourceVec(_require_int(entry, "cpu", where), _require_int(entry, "mem", where))
-        try:
-            flavors.append(Flavor(fid, dem))
-        except ValueError as exc:
-            raise InstanceFormatError(f"{where}: {exc}") from exc
+    hosts = _capacities(doc, "hosts", Host)
+    flavors = _capacities(doc, "flavors", Flavor)
     vms = []
     initial = []
     for i, entry in enumerate(doc["vms"]):
-        where = f"vms[{i}]"
-        vid = _require_int(entry, "id", where)
-        vms.append(VM(vid, _require_int(entry, "flavor", where)))
-        initial.append(_require_int(entry, "host", where))
+        vms.append(VM(_require_int(entry, "id", "vms", i), _require_int(entry, "flavor", "vms", i)))
+        initial.append(_require_int(entry, "host", "vms", i))
     return Instance(hosts, flavors, vms, initial)
 
 

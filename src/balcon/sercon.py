@@ -7,26 +7,19 @@ Fit into existing free space, acceptance by the same objective test.
 ``sercon_original`` reconstructs the older multi-pass scheme: it sweeps the
 active hosts repeatedly until a pass releases nothing (or a pass budget of
 |H| passes is hit), commits a release only when every VM of the host found a
-placement, and additionally honors a total migration budget.  The exact rule
-set of the historical heuristic is not published in a reusable form, so this
-variant is an approximation and is kept out of the fidelity gates.
+placement, and additionally honors a total migration budget.  Both baselines
+run on the release-attempt engine of the main heuristic, and both place VMs
+by ``best_fit``.  The exact rule set of the historical heuristic is not
+published in a reusable form, so this variant is an approximation and is
+kept out of the fidelity gates.
 """
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .model import (
-    Instance,
-    Mapping,
-    host_migration_cost,
-    migrated_memory,
-    objective,
-    surrogate_load,
-)
-from .solver import ReleaseAttempt, RunReport, SolverParams, balcon
+from .model import Instance, Mapping, host_migration_cost
+from .solver import ForceFitResult, ReleaseEngine, RunReport, SolverParams, balcon, best_fit
 
 __all__ = ["SerconOriginalParams", "sercon_modified", "sercon_original"]
 
@@ -35,7 +28,9 @@ __all__ = ["SerconOriginalParams", "sercon_modified", "sercon_original"]
 class SerconOriginalParams:
     """max_total_migrations: overall cap on VMs moved (None = unlimited).
     min_migration_efficiency: abandon a release attempt once fewer than
-    ceil(efficiency * |VMs|) placements remain possible."""
+    ceil(efficiency * |VMs|) placements remain possible.  A release needs
+    every VM placed, so an attempt already ends at the first VM that fits
+    nowhere, and no efficiency changes a result."""
 
     max_total_migrations: int | None = None
     min_migration_efficiency: Fraction = Fraction(0)
@@ -60,80 +55,29 @@ def sercon_original(
     params: SolverParams,
     original: SerconOriginalParams = SerconOriginalParams(),
 ) -> tuple[Mapping, RunReport]:
-    start = time.perf_counter()
-    mu0 = inst.initial_mapping()
-    mu_best = inst.initial_mapping()
-    weights = params.weights
-    best_obj = objective(mu_best, mu0, weights)
-    best_mig = 0
+    engine = ReleaseEngine(inst, params.weights)
+    mu, mu0 = engine.mu, engine.mu0
+    budget = original.max_total_migrations
+    size = inst._size_num
     migrations_used = 0
-    attempts: list[ReleaseAttempt] = []
-    n_hosts = len(inst.hosts)
-    for _ in range(n_hosts):
-        released_any = False
-        order = sorted(
-            mu_best.active_hosts(),
-            key=lambda h: (host_migration_cost(h, mu_best, mu0), h),
+
+    def place(stashed: tuple[int, ...], hosts: list[int], mu: Mapping) -> ForceFitResult:
+        # all or nothing, largest VM first; the attempt ends at the first VM
+        # that fits nowhere
+        completed = (budget is None or migrations_used + len(stashed) <= budget) and all(
+            best_fit(v, hosts, mu) is not None
+            for v in sorted(stashed, key=lambda x: (-size[x], x))
         )
+        return ForceFitResult(0, {}, completed)
+
+    for _ in range(len(inst.hosts)):
+        released_any = False
+        order = sorted(mu.active_hosts(), key=lambda h: (host_migration_cost(h, mu, mu0), h))
         for h in order:
-            mu_tmp = mu_best.copy()
-            vms = mu_tmp.vms_on(h)
-            if not vms:
-                continue
-            for v in vms:
-                mu_tmp.unassign(v)
-            destinations = mu_tmp.active_hosts()
-            total = len(vms)
-            needed = math.ceil(original.min_migration_efficiency * total)
-            placed = 0
-            for i, v in enumerate(
-                sorted(vms, key=lambda x: (-inst.size_num(x), x))
-            ):
-                fitting = [d for d in destinations if mu_tmp.fits(v, d)]
-                if not fitting:
-                    # remaining VMs cannot lift the count to a full release
-                    remaining = total - i - 1
-                    if placed + remaining < max(needed, total):
-                        break
-                    continue
-                dest = max(fitting, key=lambda d: (surrogate_load(d, mu_tmp), -d))
-                mu_tmp.assign(v, dest)
-                placed += 1
-            accepted = False
-            if placed == total:
-                budget_ok = (
-                    original.max_total_migrations is None
-                    or migrations_used + total <= original.max_total_migrations
-                )
-                cand_obj = objective(mu_tmp, mu0, weights)
-                if budget_ok and cand_obj <= best_obj:
-                    accepted = True
-                    released_any = True
-                    migrations_used += total
-                    mu_best = mu_tmp
-                    best_obj = cand_obj
-                    best_mig = migrated_memory(mu_best, mu0)
-            attempts.append(
-                ReleaseAttempt(
-                    host=h,
-                    accepted=accepted,
-                    released=accepted,
-                    force_steps=0,
-                    class_counts={},
-                    objective_after=best_obj,
-                    migrated_after=best_mig,
-                )
-            )
+            moving = len(mu.members(h))
+            if engine.attempt(h, place).accepted:
+                released_any = True
+                migrations_used += moving
         if not released_any:
             break
-    report = RunReport(
-        algorithm="sercon-orig",
-        mapping=mu_best,
-        active_hosts=mu_best.active_count(),
-        migrated_mem=best_mig,
-        objective=best_obj,
-        force_steps=0,
-        attempts=attempts,
-        wall_time=time.perf_counter() - start,
-    )
-    return mu_best, report
+    return engine.report("sercon-orig")

@@ -34,6 +34,7 @@ __all__ = [
     "ReleaseAttempt",
     "RunReport",
     "ForceFitResult",
+    "ReleaseEngine",
     "balcon",
     "force_fit",
     "best_fit",
@@ -165,20 +166,24 @@ def _surrogate_gt(mu: Mapping, a: int, b: int) -> bool:
     )
 
 
-def best_fit(v: int, hosts: Sequence[int], mu: Mapping) -> int:
-    """Assign v to the fitting host with the highest surrogate load
-    (ties to the lower host id) and return the chosen host."""
+def best_fit(v: int, hosts: Sequence[int], mu: Mapping) -> int | None:
+    """Assign v to the fitting host with the highest surrogate load (ties to
+    the lower host id) and return the chosen host.
+
+    Returns None, leaving ``mu`` untouched, when v fits none of the hosts.
+    """
     inst = mu.inst
     vc, vm = inst.vm_cpu(v), inst.vm_mem(v)
+    cap_c, cap_m = inst._cap_cpu, inst._cap_mem
+    load_c, load_m = mu._load_c, mu._load_m
     choice = None
     for h in hosts:
-        if inst._cap_cpu[h] - mu._load_c[h] < vc or inst._cap_mem[h] - mu._load_m[h] < vm:
+        if cap_c[h] - load_c[h] < vc or cap_m[h] - load_m[h] < vm:
             continue
         if choice is None or _surrogate_gt(mu, h, choice):
             choice = h
-    if choice is None:
-        raise RuntimeError(f"best_fit called but vm {v} fits no host")
-    mu.assign(v, choice)
+    if choice is not None:
+        mu.assign(v, choice)
     return choice
 
 
@@ -311,26 +316,23 @@ def _evict_place_readd(v: int, h: int, mu: Mapping, order: list[int]) -> list[in
 def force_fit_balanced(v: int, h: int, mu: Mapping) -> list[int]:
     """Eviction order: residents migrated to h first, then smaller memory,
     then lower id."""
-    inst = mu.inst
-    order = sorted(
-        mu.members(h),
-        key=lambda w: (inst.initial_host(w) == h, inst.vm_mem(w), w),
-    )
+    initial, mem = mu.inst._initial, mu.inst._vm_mem
+    order = sorted(mu.members(h), key=lambda w: (initial[w] == h, mem[w], w))
     return _evict_place_readd(v, h, mu, order)
 
 
 def force_fit_lopsided(v: int, h: int, mu: Mapping) -> list[int]:
     """Like the balanced eviction but preferring residents on the same
     angular side of v as the destination host."""
-    inst = mu.inst
-    vc, vm = inst.vm_cpu(v), inst.vm_mem(v)
+    initial, cpu, mem = mu.inst._initial, mu.inst._vm_cpu, mu.inst._vm_mem
+    vc, vm = cpu[v], mem[v]
     lc, lm = mu.load_parts(h)
     host_below = _cross(lc, lm, vc, vm) < 0
 
     def sort_key(w: int):
-        side = _cross(inst.vm_cpu(w), inst.vm_mem(w), vc, vm)
+        side = _cross(cpu[w], mem[w], vc, vm)
         in_zone = side < 0 if host_below else side > 0
-        return (not in_zone, inst.initial_host(w) == h, inst.vm_mem(w), w)
+        return (not in_zone, initial[w] == h, mem[w], w)
 
     order = sorted(mu.members(h), key=sort_key)
     return _evict_place_readd(v, h, mu, order)
@@ -448,6 +450,87 @@ def force_fit(
     return ForceFitResult(steps, dict(counts), True, None)
 
 
+class ReleaseEngine:
+    """Release attempts on one mapping, each kept or undone by the objective
+    test; shared by ``balcon`` and the Sercon baselines.
+
+    ``attempt(h, place)`` stashes the VMs of host h and hands them, with the
+    hosts still active, to the placement policy ``place(stashed, hosts,
+    mu)``.  The result is kept when the policy completes, the mapping is
+    feasible and the objective does not increase; otherwise the mapping is
+    rolled back to where the attempt began.
+    """
+
+    def __init__(self, inst: Instance, weights: ObjectiveWeights, trace: TraceSink = None) -> None:
+        self.start = time.perf_counter()
+        self.mu0 = inst.initial_mapping()
+        self.mu = inst.initial_mapping()
+        self.weights = weights
+        self.trace = trace
+        self.best_obj = objective(self.mu, self.mu0, weights)
+        self.best_mig = 0
+        self.force_steps = 0
+        self.attempts: list[ReleaseAttempt] = []
+
+    def attempt(
+        self,
+        h: int,
+        place: Callable[[tuple[int, ...], list[int], Mapping], ForceFitResult],
+    ) -> ReleaseAttempt:
+        mu, mu0, weights, trace = self.mu, self.mu0, self.weights, self.trace
+        mu.begin()
+        stashed = mu.vms_on(h)
+        for v in stashed:
+            mu.unassign(v)
+        if trace is not None:
+            trace({"event": "release_attempt", "host": h, "stash": list(stashed)})
+        result = place(stashed, mu.active_hosts(), mu)
+        self.force_steps += result.force_steps
+        accepted = False
+        if result.completed and mu.is_feasible():
+            cand_obj = objective(mu, mu0, weights)
+            if cand_obj <= self.best_obj:
+                cand_mig = migrated_memory(mu, mu0)
+                if weights.w_m > 0:
+                    # accepted steps never spend more than mph new memory
+                    assert (cand_mig - self.best_mig) * weights.w_m <= weights.w_a, (
+                        "accepted release exceeded the per-host migration budget"
+                    )
+                accepted = True
+                self.best_obj = cand_obj
+                self.best_mig = cand_mig
+        if accepted:
+            mu.commit()
+        else:
+            mu.rollback()
+        attempt = ReleaseAttempt(
+            host=h,
+            accepted=accepted,
+            released=accepted and bool(stashed),
+            force_steps=result.force_steps,
+            class_counts=result.class_counts,
+            objective_after=self.best_obj,
+            migrated_after=self.best_mig,
+        )
+        self.attempts.append(attempt)
+        if trace is not None:
+            trace({"event": "release_result", "host": h, "accepted": accepted})
+        return attempt
+
+    def report(self, algorithm: str) -> tuple[Mapping, RunReport]:
+        mu = self.mu
+        return mu, RunReport(
+            algorithm=algorithm,
+            mapping=mu,
+            active_hosts=mu.active_count(),
+            migrated_mem=self.best_mig,
+            objective=self.best_obj,
+            force_steps=self.force_steps,
+            attempts=self.attempts,
+            wall_time=time.perf_counter() - self.start,
+        )
+
+
 def balcon(
     inst: Instance,
     params: SolverParams,
@@ -457,64 +540,15 @@ def balcon(
     """Run the consolidation heuristic and return the best mapping found.
 
     Hosts are attempted once each, in ascending order of their initial
-    migration cost.  The worst case returns the initial mapping unchanged.
+    migration cost; ForceFit places each attempt's stash.  The worst case
+    returns the initial mapping unchanged.
     """
-    start = time.perf_counter()
-    mu0 = inst.initial_mapping()
-    mu_best = inst.initial_mapping()
-    weights = params.weights
-    best_obj = objective(mu_best, mu0, weights)
-    best_mig = 0
-    order = sorted(range(len(inst.hosts)), key=lambda h: (host_migration_cost(h, mu0, mu0), h))
-    attempts: list[ReleaseAttempt] = []
-    total_steps = 0
-    for h in order:
-        mu_tmp = mu_best.copy()
-        stashed = mu_tmp.vms_on(h)
-        for v in stashed:
-            mu_tmp.unassign(v)
-        active = mu_tmp.active_hosts()
-        if trace is not None:
-            trace({"event": "release_attempt", "host": h, "stash": list(stashed)})
-        result = force_fit(Stash(inst, stashed), active, mu_tmp, params, trace)
-        total_steps += result.force_steps
-        accepted = False
-        released = False
-        if result.completed and mu_tmp.is_feasible():
-            cand_obj = objective(mu_tmp, mu0, weights)
-            if cand_obj <= best_obj:
-                cand_mig = migrated_memory(mu_tmp, mu0)
-                if weights.w_m > 0:
-                    # accepted steps never spend more than mph new memory
-                    assert (cand_mig - best_mig) * weights.w_m <= weights.w_a, (
-                        "accepted release exceeded the per-host migration budget"
-                    )
-                accepted = True
-                released = bool(stashed)
-                mu_best = mu_tmp
-                best_obj = cand_obj
-                best_mig = cand_mig
-        attempts.append(
-            ReleaseAttempt(
-                host=h,
-                accepted=accepted,
-                released=released,
-                force_steps=result.force_steps,
-                class_counts=result.class_counts,
-                objective_after=best_obj,
-                migrated_after=best_mig,
-            )
-        )
-        if trace is not None:
-            trace({"event": "release_result", "host": h, "accepted": accepted})
-    report = RunReport(
-        algorithm=algorithm,
-        mapping=mu_best,
-        active_hosts=mu_best.active_count(),
-        migrated_mem=best_mig,
-        objective=best_obj,
-        force_steps=total_steps,
-        attempts=attempts,
-        wall_time=time.perf_counter() - start,
-    )
-    return mu_best, report
+    engine = ReleaseEngine(inst, params.weights, trace)
+    mu0 = engine.mu0
+
+    def place(stashed: tuple[int, ...], hosts: list[int], mu: Mapping) -> ForceFitResult:
+        return force_fit(Stash(inst, stashed), hosts, mu, params, trace)
+
+    for h in sorted(range(len(inst.hosts)), key=lambda h: (host_migration_cost(h, mu0, mu0), h)):
+        engine.attempt(h, place)
+    return engine.report(algorithm)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import statistics
@@ -103,6 +104,29 @@ class TestGeneration:
             Fraction(inst.vm_cpu(v), inst.vm_mem(v)) for v in range(len(inst.vms))
         ]
         assert angles == sorted(angles, reverse=True)
+
+    @pytest.mark.parametrize(
+        "config, sha256",
+        [
+            (GenConfig(seed=0, num_hosts=20),
+             "eef1cfbc44f4b42f079165829f2faa49dc4f0d85b4445444b47e4e440bee5d09"),
+            (GenConfig(seed=1, num_hosts=12, mode="uniform"),
+             "3f47b6592a6b198ec5a6418a8d03c83deb9f657772acbd8c4834dfee29b5d307"),
+            (GenConfig(seed=2, num_hosts=100, target_fill=0.6),
+             "f1b49e981b9e8d04b108dfca90e0c9b89f0b68d08709c49820197971ce14df1d"),
+            (GenConfig(seed=1000, num_hosts=300, target_fill=0.6),
+             "5ecc6117e7d3e98aaabec4d2deb73b3666c923d53527a14cf797ea65f6b47f64"),
+            (GenConfig(seed=7, num_hosts=4, host_capacity=ResourceVec(5, 6), num_flavors=4,
+                       target_fill=0.7),
+             "1faadc227100ad3bdb516ba96d4fe9728345a98c0217de5fd319eb3bb0266193"),
+            (cfg(3, mode="uniform"),
+             "7b3d905697bbc613cc0909bd672cc9d091b400921a8739c38ff849451aa3317c"),
+        ],
+    )
+    def test_pinned_instances(self, config, sha256):
+        # digests recorded from the generator before its set-up work was cut
+        doc = json.dumps(instance_to_dict(generate_instance(config)), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == sha256
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,19 @@
-"""Golden run reports: ``balcon`` must reproduce the recorded runs attempt by
-attempt.
+"""Golden run reports: ``balcon`` and the Sercon baselines must reproduce the
+recorded runs attempt by attempt.
 
 Each entry of ``data/golden_reports.json`` holds the final assignment of one
-run and, for every release attempt, its host, whether it was accepted and
-released, its force steps and its class counts.  The runs are the 200-instance
-tiny corpus at mph 0, 10 and inf, and the generator-default lopsided/uniform
-twins with 6, 12 and 20 hosts, seeds 0-2, at mph inf.
+``balcon`` run and, for every release attempt, its host, whether it was
+accepted and released, its force steps and its class counts.  The runs are the
+200-instance tiny corpus at mph 0, 10 and inf, and the generator-default
+lopsided/uniform twins with 6, 12 and 20 hosts, seeds 0-2, at mph inf.
+
+Each entry of ``data/golden_baselines.json`` holds the final assignment of one
+``sercon-mod`` or ``sercon-orig`` run and every attempt's host, acceptance and
+release.  The runs are the tiny corpus at mph 0, 10 and inf, and
+generator-default lopsided instances at fill 0.6 with 20, 50 and 100 hosts,
+seeds 0-2, at mph 10 and inf.  ``sercon-orig-capped`` is ``sercon_original``
+with a total budget of 5 migrations and an efficiency cut-off of 1/2, so the
+budget and early-break paths are pinned too.
 
 Record the data again with::
 
@@ -15,16 +23,27 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
 import pytest
 
-from balcon import GenConfig, ObjectiveWeights, SolverParams, balcon, generate_instance
+from balcon import (
+    GenConfig,
+    ObjectiveWeights,
+    SerconOriginalParams,
+    SolverParams,
+    balcon,
+    generate_instance,
+    sercon_modified,
+    sercon_original,
+)
 
 from conftest import tiny_instances
 
 DATA = Path(__file__).parent / "data" / "golden_reports.json"
+BASELINE_DATA = Path(__file__).parent / "data" / "golden_baselines.json"
 
 TINY_MPHS = {"0": 0, "10": 10, "inf": math.inf}
 TWIN_HOSTS = (6, 12, 20)
@@ -50,6 +69,36 @@ GROUPS = {
     **{f"twins-{n}-hosts": partial(_twin_runs, n) for n in TWIN_HOSTS},
 }
 
+LOPSIDED_HOSTS = (20, 50, 100)
+LOPSIDED_MPHS = {"10": 10, "inf": math.inf}
+
+
+def _lopsided_runs(hosts: int):
+    for seed in TWIN_SEEDS:
+        inst = generate_instance(
+            GenConfig(seed=seed, num_hosts=hosts, mode="lopsided", target_fill=0.6)
+        )
+        for mph, value in LOPSIDED_MPHS.items():
+            weights = ObjectiveWeights.from_mph(value)
+            yield f"lopsided/hosts={hosts}/seed={seed}/mph={mph}", inst, weights
+
+
+BASELINE_GROUPS = {
+    **{f"tiny-mph-{mph}": partial(_tiny_runs, mph) for mph in TINY_MPHS},
+    **{f"lopsided-{n}-hosts": partial(_lopsided_runs, n) for n in LOPSIDED_HOSTS},
+}
+
+BASELINES = {
+    "sercon-mod": sercon_modified,
+    "sercon-orig": sercon_original,
+    "sercon-orig-capped": partial(
+        sercon_original,
+        original=SerconOriginalParams(
+            max_total_migrations=5, min_migration_efficiency=Fraction(1, 2)
+        ),
+    ),
+}
+
 
 def _entry(inst, weights) -> dict:
     mapping, report = balcon(inst, SolverParams(weights=weights))
@@ -68,9 +117,29 @@ def _entry(inst, weights) -> dict:
     }
 
 
+def _baseline_entry(algo: str, inst, weights) -> dict:
+    mapping, report = BASELINES[algo](inst, SolverParams(weights=weights))
+    return {
+        "assignment": list(mapping.assignment),
+        "attempts": [[a.host, a.accepted, a.released] for a in report.attempts],
+    }
+
+
+def _baseline_entries():
+    for algo in BASELINES:
+        for make in BASELINE_GROUPS.values():
+            for key, inst, weights in make():
+                yield f"{algo}/{key}", _baseline_entry(algo, inst, weights)
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(DATA.read_text())
+
+
+@pytest.fixture(scope="module")
+def golden_baselines() -> dict:
+    return json.loads(BASELINE_DATA.read_text())
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
@@ -80,11 +149,23 @@ def test_reports_match_golden(group, golden):
         assert json.dumps(_entry(inst, weights)) == json.dumps(golden[key]), key
 
 
-def record() -> None:
-    entries = {key: _entry(inst, weights) for make in GROUPS.values() for key, inst, weights in make()}
+@pytest.mark.parametrize("group", sorted(BASELINE_GROUPS))
+@pytest.mark.parametrize("algo", sorted(BASELINES))
+def test_baselines_match_golden(algo, group, golden_baselines):
+    for key, inst, weights in BASELINE_GROUPS[group]():
+        got = _baseline_entry(algo, inst, weights)
+        assert got == golden_baselines[f"{algo}/{key}"], f"{algo}/{key}"
+
+
+def _write(path: Path, entries: dict) -> None:
     lines = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in sorted(entries.items())]
-    DATA.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-    print(f"wrote {len(entries)} runs to {DATA}")
+    path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"wrote {len(entries)} runs to {path}")
+
+
+def record() -> None:
+    _write(DATA, {key: _entry(inst, weights) for make in GROUPS.values() for key, inst, weights in make()})
+    _write(BASELINE_DATA, dict(_baseline_entries()))
 
 
 if __name__ == "__main__":

@@ -17,23 +17,18 @@ from balcon import (
     ObjectiveWeights,
     ResourceVec,
     VM,
-    active_hosts,
-    angle_key,
-    fits,
-    free,
     host_migration_cost,
     instance_from_dict,
     instance_to_dict,
     instance_with_mapping,
-    load,
     migrated_memory,
     objective,
     surrogate_load,
     vm_size,
 )
-from balcon.model import angle_cmp
+from balcon.solver import _cross
 
-from conftest import A, GREEN, RED
+from conftest import A, GREEN, RED, random_instance
 
 
 class TestResourceVec:
@@ -62,18 +57,18 @@ class TestResourceVec:
 class TestLoadFreeFits:
     def test_empty_host_load(self, fig2):
         mu = Mapping(fig2, [None] * 5)
-        assert load(0, mu) == ResourceVec(0, 0)
-        assert free(0, mu) == ResourceVec(6, 6)
+        assert mu.load(0) == ResourceVec(0, 0)
+        assert mu.free(0) == ResourceVec(6, 6)
 
     def test_direct_sum(self, fig2):
         mu = fig2.initial_mapping()
-        assert load(1, mu) == ResourceVec(3, 6)
-        assert load(2, mu) == ResourceVec(6, 2)
+        assert mu.load(1) == ResourceVec(3, 6)
+        assert mu.load(2) == ResourceVec(6, 2)
 
     def test_free_components(self, fig2):
         mu = fig2.initial_mapping()
-        assert free(1, mu) == ResourceVec(3, 0)
-        assert free(2, mu) == ResourceVec(0, 4)
+        assert mu.free(1) == ResourceVec(3, 0)
+        assert mu.free(2) == ResourceVec(0, 4)
 
     def test_free_reports_overload(self, fig2):
         mu = fig2.initial_mapping()
@@ -85,27 +80,27 @@ class TestLoadFreeFits:
     def test_fits(self, fig2):
         mu = fig2.initial_mapping()
         mu.unassign(RED)
-        assert not fits(RED, 1, mu)  # free (3,0)
-        assert not fits(RED, 2, mu)  # free (0,4)
-        assert fits(RED, 0, mu)
+        assert not mu.fits(RED, 1)  # free (3,0)
+        assert not mu.fits(RED, 2)  # free (0,4)
+        assert mu.fits(RED, 0)
 
     def test_exact_fit(self):
         hosts = [Host(0, ResourceVec(3, 3))]
         flavors = [Flavor(0, ResourceVec(3, 3))]
         inst = Instance(hosts, flavors, [VM(0, 0)], [0])
         mu = Mapping(inst, [None])
-        assert fits(0, 0, mu)
+        assert mu.fits(0, 0)
 
 
 class TestActiveAndMigration:
     def test_active_hosts_initial(self, fig2):
         mu = fig2.initial_mapping()
-        assert active_hosts(mu) == [0, 1, 2]
+        assert mu.active_hosts() == [0, 1, 2]
         assert mu.active_count() == 3
 
     def test_active_hosts_empty(self, fig2):
         mu = Mapping(fig2, [None] * 5)
-        assert active_hosts(mu) == []
+        assert mu.active_hosts() == []
 
     def test_self_migration_free(self, fig2):
         mu0 = fig2.initial_mapping()
@@ -192,28 +187,27 @@ class TestScalarMeasures:
 
 
 class TestAngleKey:
+    # the solver orders load angles arctan(cpu/mem) by integer cross products
     def test_extremes(self):
-        assert angle_key(ResourceVec(1, 0)) == math.inf
-        assert angle_key(ResourceVec(0, 1)) == 0
-        assert angle_key(ResourceVec(2, 1)) > angle_key(ResourceVec(1, 2))
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            angle_key(ResourceVec(0, 0))
+        assert _cross(1, 0, 0, 1) > 0  # pure cpu lies above pure memory
+        assert _cross(0, 1, 1, 0) < 0
+        assert _cross(1, 0, 10**6, 1) > 0  # mem == 0 is the maximal angle
+        assert _cross(2, 1, 1, 2) > 0
+        assert _cross(2, 4, 1, 2) == 0
 
     @given(
         st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)).filter(lambda t: t != (0, 0)),
         st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)).filter(lambda t: t != (0, 0)),
     )
     def test_matches_float_arctan(self, a, b):
-        va, vb = ResourceVec(*a), ResourceVec(*b)
         fa = math.atan2(a[0], a[1])
         fb = math.atan2(b[0], b[1])
         if abs(fa - fb) > 1e-9:
-            assert (angle_key(va) > angle_key(vb)) == (fa > fb)
-        cmp = angle_cmp(a[0], a[1], b[0], b[1])
-        key_a, key_b = angle_key(va), angle_key(vb)
-        assert cmp == (key_a > key_b) - (key_a < key_b)
+            assert (_cross(*a, *b) > 0) == (fa > fb)
+        key_a = Fraction(a[0], a[1]) if a[1] else math.inf
+        key_b = Fraction(b[0], b[1]) if b[1] else math.inf
+        side = _cross(*a, *b)
+        assert (side > 0) - (side < 0) == (key_a > key_b) - (key_a < key_b)
 
 
 class TestWeights:
@@ -268,6 +262,72 @@ class TestMappingCaches:
         inst2, mu2 = pickle.loads(pickle.dumps((fig2, mu)))
         assert inst2 == fig2
         assert mu2.assignment == mu.assignment
+
+
+def _apply(mu: Mapping, ops) -> None:
+    # each op toggles one VM: unassign it, or assign it to some host
+    n_vms, n_hosts = len(mu.inst.vms), len(mu.inst.hosts)
+    for a, b in ops:
+        v = a % n_vms
+        if mu.host_of(v) is None:
+            mu.assign(v, b % n_hosts)
+        else:
+            mu.unassign(v)
+
+
+def _state(mu: Mapping):
+    return (mu.assignment, list(mu._load_c), list(mu._load_m), [set(m) for m in mu._members])
+
+
+OPS = st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)), max_size=40)
+
+
+class TestJournal:
+    @given(st.integers(0, 2**32), OPS, OPS)
+    def test_rollback_restores_the_mapping(self, seed, before_ops, ops):
+        mu = random_instance(random.Random(seed)).initial_mapping()
+        _apply(mu, before_ops)
+        before = mu.copy()
+        mu.begin()
+        _apply(mu, ops)
+        mu.rollback()
+        assert _state(mu) == _state(before)
+        assert mu.caches_consistent()
+
+    @given(st.integers(0, 2**32), OPS, OPS)
+    def test_commit_keeps_the_changes(self, seed, before_ops, ops):
+        mu = random_instance(random.Random(seed)).initial_mapping()
+        _apply(mu, before_ops)
+        mu.begin()
+        _apply(mu, ops)
+        after = mu.copy()
+        mu.commit()
+        assert _state(mu) == _state(after)
+        assert mu.caches_consistent()
+        mu.begin()  # the journal is closed, so a new attempt can open
+        mu.rollback()
+        assert _state(mu) == _state(after)
+
+    def test_attempts_do_not_nest(self, fig2):
+        mu = fig2.initial_mapping()
+        with pytest.raises(RuntimeError):
+            mu.rollback()
+        with pytest.raises(RuntimeError):
+            mu.commit()
+        mu.begin()
+        with pytest.raises(RuntimeError):
+            mu.begin()
+
+    def test_copy_is_outside_the_attempt(self, fig2):
+        mu = fig2.initial_mapping()
+        mu.begin()
+        mu.unassign(RED)
+        dup = mu.copy()
+        mu.rollback()
+        assert mu.host_of(RED) == 0
+        assert dup.host_of(RED) is None
+        dup.begin()
+        dup.commit()
 
 
 class TestJson:

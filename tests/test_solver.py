@@ -88,11 +88,14 @@ class TestBestFit:
         mu = Mapping(fig2, [None, None, None, None, None])
         assert best_fit(RED, [0, 1, 2], mu) == 0
 
-    def test_raises_when_nothing_fits(self, fig2):
+    def test_returns_none_when_nothing_fits(self, fig2):
         mu = fig2.initial_mapping()
         mu.unassign(RED)
-        with pytest.raises(RuntimeError):
-            best_fit(RED, [1, 2], mu)
+        before = mu.copy()
+        assert best_fit(RED, [1, 2], mu) is None
+        assert mu == before
+        assert [mu.load_parts(h) for h in range(3)] == [before.load_parts(h) for h in range(3)]
+        assert mu.caches_consistent()
 
 
 class TestChooseHostBalanced:
