@@ -388,10 +388,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 1
-    try:
-        return args.func(args)
     # malformed or infeasible instances, oversized oracle runs and bad
     # solution dumps raise ValueError subclasses
+    try:
+        return args.func(args)
     except (ValueError, GenerationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
