@@ -138,6 +138,7 @@ def _report_dict(report) -> dict:
                 "released": a.released,
                 "force_steps": a.force_steps,
                 "class_counts": a.class_counts,
+                "outcome": a.outcome,
             }
             for a in report.attempts
         ],
@@ -155,10 +156,7 @@ def cmd_solve(args) -> int:
     elif args.algo == "sercon-mod":
         mapping, report = sercon_modified(inst, params)
     else:
-        sp = SerconOriginalParams(
-            max_total_migrations=args.max_migrations,
-            min_migration_efficiency=args.min_efficiency,
-        )
+        sp = SerconOriginalParams(max_total_migrations=args.max_migrations)
         mapping, report = sercon_original(inst, params, sp)
     _emit_instance(instance_with_mapping(inst, mapping), args.output)
     if args.report:
@@ -324,8 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p)
     p.add_argument("--max-migrations", type=int, default=None,
                    help="sercon-orig: total migration budget")
-    p.add_argument("--min-efficiency", type=_parse_fraction, default=Fraction(0),
-                   help="sercon-orig: migration efficiency threshold")
     p.add_argument("-o", "--output", default=None, help="result mapping JSON (default stdout)")
     p.add_argument("--report", default=None, help="write the full run report JSON here")
     p.add_argument("-v", "--verbose", action="store_true", help="per-step trace on stderr")

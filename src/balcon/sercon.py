@@ -16,7 +16,6 @@ kept out of the fidelity gates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .model import Instance, Mapping, host_migration_cost
 from .solver import ForceFitResult, ReleaseEngine, RunReport, SolverParams, balcon, best_fit
@@ -26,20 +25,13 @@ __all__ = ["SerconOriginalParams", "sercon_modified", "sercon_original"]
 
 @dataclass(frozen=True)
 class SerconOriginalParams:
-    """max_total_migrations: overall cap on VMs moved (None = unlimited).
-    min_migration_efficiency: abandon a release attempt once fewer than
-    ceil(efficiency * |VMs|) placements remain possible.  A release needs
-    every VM placed, so an attempt already ends at the first VM that fits
-    nowhere, and no efficiency changes a result."""
+    """max_total_migrations: overall cap on VMs moved (None = unlimited)."""
 
     max_total_migrations: int | None = None
-    min_migration_efficiency: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
         if self.max_total_migrations is not None and self.max_total_migrations < 0:
             raise ValueError("max_total_migrations must be non-negative")
-        if not 0 <= self.min_migration_efficiency <= 1:
-            raise ValueError("min_migration_efficiency must lie in [0, 1]")
 
 
 def sercon_modified(inst: Instance, params: SolverParams) -> tuple[Mapping, RunReport]:
@@ -64,11 +56,12 @@ def sercon_original(
     def place(stashed: tuple[int, ...], hosts: list[int], mu: Mapping) -> ForceFitResult:
         # all or nothing, largest VM first; the attempt ends at the first VM
         # that fits nowhere
-        completed = (budget is None or migrations_used + len(stashed) <= budget) and all(
-            best_fit(v, hosts, mu) is not None
-            for v in sorted(stashed, key=lambda x: (-size[x], x))
-        )
-        return ForceFitResult(0, {}, completed)
+        if budget is not None and migrations_used + len(stashed) > budget:
+            return ForceFitResult(0, {}, False, "migration budget exhausted")
+        for v in sorted(stashed, key=lambda x: (-size[x], x)):
+            if best_fit(v, hosts, mu) is None:
+                return ForceFitResult(0, {}, False, f"vm {v} fits no host")
+        return ForceFitResult(0, {}, True)
 
     for _ in range(len(inst.hosts)):
         released_any = False

@@ -10,6 +10,7 @@ not increase the objective.
 """
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -49,6 +50,14 @@ __all__ = [
 DEFAULT_FORCE_STEP_LIMIT = 4000
 DEFAULT_REPEAT_LIMIT = 3
 _BUDGET_EXHAUSTED = "force-step budget exhausted"
+
+# Why a release attempt ended (ReleaseAttempt.outcome), in the order the
+# engine decides it.
+SKIPPED = "skipped"
+BUDGET_EXHAUSTED = "budget_exhausted"
+UNPLACEABLE = "unplaceable"
+OBJECTIVE_REJECTED = "objective_rejected"
+ACCEPTED = "accepted"
 
 TraceSink = Optional[Callable[[dict], None]]
 
@@ -113,6 +122,10 @@ class ResourceToggle:
 
 @dataclass
 class ForceFitResult:
+    """What a placement policy did with a stash.  ``reason`` says why an
+    incomplete placement stopped: one ending in "budget exhausted" makes the
+    attempt's outcome ``budget_exhausted``, any other ``unplaceable``."""
+
     force_steps: int
     class_counts: dict[str, int]
     completed: bool
@@ -128,6 +141,7 @@ class ReleaseAttempt:
     class_counts: dict[str, int]
     objective_after: object
     migrated_after: int
+    outcome: str  # one of the outcome constants above
 
 
 @dataclass
@@ -458,7 +472,9 @@ class ReleaseEngine:
     hosts still active, to the placement policy ``place(stashed, hosts,
     mu)``.  The result is kept when the policy completes, the mapping is
     feasible and the objective does not increase; otherwise the mapping is
-    rolled back to where the attempt began.
+    rolled back to where the attempt began.  An attempt on a non-empty host
+    whose ``lower_bound`` exceeds the best objective is skipped before the
+    mapping is touched.
     """
 
     def __init__(self, inst: Instance, weights: ObjectiveWeights, trace: TraceSink = None) -> None:
@@ -471,51 +487,123 @@ class ReleaseEngine:
         self.best_mig = 0
         self.force_steps = 0
         self.attempts: list[ReleaseAttempt] = []
+        # state of the lower bound: fixed demand and L1, running capacity
+        # of the active hosts and memory that left released hosts
+        cap_c, cap_m, vm_mem = inst._cap_cpu, inst._cap_mem, inst._vm_mem
+        self.demand_c, self.demand_m = sum(inst._vm_cpu), sum(vm_mem)
+        l1 = 0
+        if cap_c:
+            l1 = max(-(-self.demand_c // max(cap_c)), -(-self.demand_m // max(cap_m)))
+        self.floor_active = weights.w_a * l1
+        self.init_mem = [0] * len(cap_c)
+        for v, g in enumerate(inst._initial):
+            self.init_mem[g] += vm_mem[v]
+        active = self.mu.active_hosts()
+        self.cap_active_c = sum(cap_c[g] for g in active)
+        self.cap_active_m = sum(cap_m[g] for g in active)
+        self.lost_mem = 0
+
+    def lower_bound(self, h: int) -> object:
+        """A lower bound on the objective of any mapping that releasing the
+        non-empty host h can accept; ``inf`` when none is feasible.
+
+        Let A be the active hosts of the current mapping other than h.  The
+        attempt places VMs on A only, and no VM stays on h or on an inactive
+        host, so a candidate puts every VM on A:
+
+        - it is infeasible unless the capacities of A cover the total demand
+          D in both resources (``cap_active - cap[h] >= D``);
+        - it has at least L1 = max(ceil(D_c / max cap_c), ceil(D_m / max
+          cap_m)) active hosts, since every host holds at most the largest
+          capacity (the L1 vector-packing bound of Caprara and Toth, 2001);
+        - every VM whose initial host is not in A has migrated; those hosts
+          are h, the hosts released so far (``lost_mem`` sums their initial
+          memory ``init_mem``) and hosts empty from the start (no memory).
+
+        So its objective is at least w_a * L1 + w_m * (lost_mem +
+        init_mem[h]), and as an attempt is accepted iff its objective is at
+        most the best one, a bound above the best objective cannot be
+        accepted.
+
+        The running state is exact: placements go only to active hosts, and
+        a Force Step leaves its destination non-empty, so no host other than
+        the released one empties and none becomes active.  An accepted
+        release of a non-empty host h thus shrinks the active set by exactly
+        h; ``attempt`` subtracts h's capacities and adds ``init_mem[h]``.
+        """
+        inst = self.mu.inst
+        if (
+            self.cap_active_c - inst._cap_cpu[h] < self.demand_c
+            or self.cap_active_m - inst._cap_mem[h] < self.demand_m
+        ):
+            return math.inf
+        return self.floor_active + self.weights.w_m * (self.lost_mem + self.init_mem[h])
 
     def attempt(
         self,
         h: int,
         place: Callable[[tuple[int, ...], list[int], Mapping], ForceFitResult],
     ) -> ReleaseAttempt:
-        mu, mu0, weights, trace = self.mu, self.mu0, self.weights, self.trace
-        mu.begin()
-        stashed = mu.vms_on(h)
-        for v in stashed:
-            mu.unassign(v)
-        if trace is not None:
-            trace({"event": "release_attempt", "host": h, "stash": list(stashed)})
-        result = place(stashed, mu.active_hosts(), mu)
-        self.force_steps += result.force_steps
-        accepted = False
-        if result.completed and mu.is_feasible():
-            cand_obj = objective(mu, mu0, weights)
-            if cand_obj <= self.best_obj:
-                cand_mig = migrated_memory(mu, mu0)
-                if weights.w_m > 0:
-                    # accepted steps never spend more than mph new memory
-                    assert (cand_mig - self.best_mig) * weights.w_m <= weights.w_a, (
-                        "accepted release exceeded the per-host migration budget"
-                    )
-                accepted = True
-                self.best_obj = cand_obj
-                self.best_mig = cand_mig
-        if accepted:
-            mu.commit()
+        mu, trace = self.mu, self.trace
+        steps, counts, released = 0, {}, False
+        if mu._members[h] and self.lower_bound(h) > self.best_obj:
+            outcome = SKIPPED
         else:
-            mu.rollback()
+            mu.begin()
+            stashed = mu.vms_on(h)
+            for v in stashed:
+                mu.unassign(v)
+            if trace is not None:
+                trace({"event": "release_attempt", "host": h, "stash": list(stashed)})
+            result = place(stashed, mu.active_hosts(), mu)
+            steps, counts = result.force_steps, result.class_counts
+            self.force_steps += steps
+            outcome = self._judge(result)
+            if outcome == ACCEPTED:
+                mu.commit()
+                released = bool(stashed)
+                if released:
+                    inst = mu.inst
+                    self.cap_active_c -= inst._cap_cpu[h]
+                    self.cap_active_m -= inst._cap_mem[h]
+                    self.lost_mem += self.init_mem[h]
+            else:
+                mu.rollback()
+        accepted = outcome == ACCEPTED
         attempt = ReleaseAttempt(
             host=h,
             accepted=accepted,
-            released=accepted and bool(stashed),
-            force_steps=result.force_steps,
-            class_counts=result.class_counts,
+            released=released,
+            force_steps=steps,
+            class_counts=counts,
             objective_after=self.best_obj,
             migrated_after=self.best_mig,
+            outcome=outcome,
         )
         self.attempts.append(attempt)
         if trace is not None:
-            trace({"event": "release_result", "host": h, "accepted": accepted})
+            trace({"event": "release_result", "host": h, "accepted": accepted, "outcome": outcome})
         return attempt
+
+    def _judge(self, result: ForceFitResult) -> str:
+        # the outcome of a placement; an accepted one becomes the best
+        if not result.completed:
+            return BUDGET_EXHAUSTED if result.reason.endswith("budget exhausted") else UNPLACEABLE
+        mu, weights = self.mu, self.weights
+        if not mu.is_feasible():
+            return UNPLACEABLE
+        cand_obj = objective(mu, self.mu0, weights)
+        if cand_obj > self.best_obj:
+            return OBJECTIVE_REJECTED
+        cand_mig = migrated_memory(mu, self.mu0)
+        if weights.w_m > 0:
+            # accepted steps never spend more than mph new memory
+            assert (cand_mig - self.best_mig) * weights.w_m <= weights.w_a, (
+                "accepted release exceeded the per-host migration budget"
+            )
+        self.best_obj = cand_obj
+        self.best_mig = cand_mig
+        return ACCEPTED
 
     def report(self, algorithm: str) -> tuple[Mapping, RunReport]:
         mu = self.mu

@@ -72,7 +72,21 @@ class TestSolve:
         assert report["algorithm"] == "balcon"
         assert report["active_hosts"] == 2
         assert report["migrated_mem"] == 4
-        assert len(report["attempts"]) == 3
+        assert [a["outcome"] for a in report["attempts"]] == ["accepted", "skipped", "skipped"]
+
+    def test_verbose_trace_carries_outcomes(self, fig2_path, tmp_path, capsys):
+        out = tmp_path / "result.json"
+        assert main(["solve", "--mph", "0", "-v", "-o", str(out), str(fig2_path)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        events = [json.loads(line) for line in lines[:-1]]
+        assert events == [
+            {"event": "release_result", "host": h, "accepted": False, "outcome": "skipped"}
+            for h in (2, 0, 1)
+        ]
+        assert json.loads(lines[-1])["force_steps"] == 0
+
+    def test_min_efficiency_flag_is_gone(self, fig2_path):
+        assert main(["solve", "--algo", "sercon-orig", "--min-efficiency", "1/2", str(fig2_path)]) == 1
 
     def test_sercon_variants_run(self, fig2_path, tmp_path):
         for algo in ("sercon-mod", "sercon-orig"):

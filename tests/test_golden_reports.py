@@ -12,10 +12,13 @@ Each entry of ``data/golden_baselines.json`` holds the final assignment of one
 release.  The runs are the tiny corpus at mph 0, 10 and inf, and
 generator-default lopsided instances at fill 0.6 with 20, 50 and 100 hosts,
 seeds 0-2, at mph 10 and inf.  ``sercon-orig-capped`` is ``sercon_original``
-with a total budget of 5 migrations and an efficiency cut-off of 1/2, so the
-budget and early-break paths are pinned too.
+with a total budget of 5 migrations, so the budget path is pinned too.
 
-Record the data again with::
+``golden_reports.json`` was recorded before the engine skipped attempts whose
+lower bound exceeds the best objective, and is kept as recorded: a run must
+reproduce every final assignment, and every attempt either exactly or as a
+skip of an attempt the record shows was not accepted.  Record the baseline
+data again with::
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -93,28 +95,28 @@ BASELINES = {
     "sercon-orig": sercon_original,
     "sercon-orig-capped": partial(
         sercon_original,
-        original=SerconOriginalParams(
-            max_total_migrations=5, min_migration_efficiency=Fraction(1, 2)
-        ),
+        original=SerconOriginalParams(max_total_migrations=5),
     ),
 }
 
 
-def _entry(inst, weights) -> dict:
+def _entry(inst, weights) -> tuple[list, list]:
+    # the final assignment and, per attempt, its outcome and its record fields
     mapping, report = balcon(inst, SolverParams(weights=weights))
-    return {
-        "assignment": list(mapping.assignment),
-        "attempts": [
+    attempts = [
+        (
+            a.outcome,
             {
                 "host": a.host,
                 "accepted": a.accepted,
                 "released": a.released,
                 "force_steps": a.force_steps,
                 "class_counts": a.class_counts,
-            }
-            for a in report.attempts
-        ],
-    }
+            },
+        )
+        for a in report.attempts
+    ]
+    return list(mapping.assignment), attempts
 
 
 def _baseline_entry(algo: str, inst, weights) -> dict:
@@ -142,11 +144,35 @@ def golden_baselines() -> dict:
     return json.loads(BASELINE_DATA.read_text())
 
 
+# attempts of each group that the lower bound skips
+SKIPPED = {
+    "tiny-mph-0": 572,
+    "tiny-mph-10": 471,
+    "tiny-mph-inf": 471,
+    "twins-6-hosts": 35,
+    "twins-12-hosts": 39,
+    "twins-20-hosts": 71,
+}
+
+
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_reports_match_golden(group, golden):
-    # compared as JSON text, so the order of class_counts keys counts too
+    skipped = 0
     for key, inst, weights in GROUPS[group]():
-        assert json.dumps(_entry(inst, weights)) == json.dumps(golden[key]), key
+        assignment, attempts = _entry(inst, weights)
+        record = golden[key]
+        assert assignment == record["assignment"], key
+        assert len(attempts) == len(record["attempts"]), key
+        for (outcome, got), want in zip(attempts, record["attempts"]):
+            if outcome == "skipped":
+                skipped += 1
+                assert not want["accepted"], key
+                want = {**want, "force_steps": 0, "class_counts": {}}
+            else:
+                assert (outcome == "accepted") == want["accepted"], key
+            # compared as JSON text, so the order of class_counts keys counts too
+            assert json.dumps(got) == json.dumps(want), key
+    assert skipped == SKIPPED[group]
 
 
 @pytest.mark.parametrize("group", sorted(BASELINE_GROUPS))
@@ -164,7 +190,6 @@ def _write(path: Path, entries: dict) -> None:
 
 
 def record() -> None:
-    _write(DATA, {key: _entry(inst, weights) for make in GROUPS.values() for key, inst, weights in make()})
     _write(BASELINE_DATA, dict(_baseline_entries()))
 
 

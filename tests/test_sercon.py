@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -118,11 +117,17 @@ class TestSerconOriginal:
                 if mu.host_of(v) != inst.initial_host(v):
                     assert inst.initial_host(v) in released
 
+    def test_outcomes_name_each_abort(self, fig2):
+        # fig2 has no free space for any host's VMs; a zero budget stops
+        # every attempt before it places anything
+        _, report = sercon_original(fig2, INF_PARAMS)
+        assert [a.outcome for a in report.attempts] == ["unplaceable"] * 3
+        _, report = sercon_original(fig2, INF_PARAMS, SerconOriginalParams(max_total_migrations=0))
+        assert [a.outcome for a in report.attempts] == ["budget_exhausted"] * 3
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             SerconOriginalParams(max_total_migrations=-1)
-        with pytest.raises(ValueError):
-            SerconOriginalParams(min_migration_efficiency=Fraction(3, 2))
 
 
 class TestObjectiveAcceptance:

@@ -4,9 +4,11 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from balcon import (
     Flavor,
+    GenConfig,
     Host,
     Instance,
     Mapping,
@@ -24,10 +26,13 @@ from balcon import (
     force_fit,
     force_fit_balanced,
     force_fit_lopsided,
+    generate_instance,
+    host_migration_cost,
     migrated_memory,
     objective,
 )
 from balcon.sercon import sercon_modified
+from balcon.solver import ReleaseEngine
 
 from conftest import A, B, GREEN, RED, YELLOW, random_instance
 
@@ -330,7 +335,9 @@ class TestForceFit:
         # Releasing host 2 comes back to an earlier mapping and prohibitor
         # state with the resource toggle pointing the other way; treating
         # that as a cycle would give 1998 ample placements.  Counts recorded
-        # from the loop that ran every force step out.
+        # from the loop that ran every force step out.  No three hosts hold
+        # the total demand, so balcon skips these releases; force_fit runs
+        # them here on the initial mapping.
         caps = [(7, 10), (6, 9), (6, 8), (6, 9)]
         demands = [(1, 4), (3, 1), (1, 1), (2, 4)]
         inst = Instance(
@@ -339,12 +346,23 @@ class TestForceFit:
             [VM(i, f) for i, f in enumerate([1, 2, 1, 2, 2, 0, 0, 1, 3, 2, 2, 1, 3])],
             [0, 2, 0, 3, 1, 2, 0, 2, 3, 2, 1, 1, 3],
         )
-        _, report = balcon(inst, INF_PARAMS)
-        assert [(a.host, a.force_steps, a.class_counts) for a in report.attempts] == [
+        got = []
+        for h in (1, 0, 2, 3):
+            mu = inst.initial_mapping()
+            stashed = mu.vms_on(h)
+            for v in stashed:
+                mu.unassign(v)
+            result = force_fit(Stash(inst, stashed), mu.active_hosts(), mu, INF_PARAMS)
+            got.append((h, result.force_steps, result.class_counts))
+        assert got == [
             (1, 4000, {"lopsided": 4001}),
             (0, 4000, {"ample": 1333, "lopsided": 4001}),
             (2, 4000, {"ample": 1091, "lopsided": 4001}),
             (3, 4000, {"lopsided": 4001}),
+        ]
+        _, report = balcon(inst, INF_PARAMS)
+        assert [(a.host, a.outcome, a.force_steps) for a in report.attempts] == [
+            (h, "skipped", 0) for h in (1, 0, 2, 3)
         ]
 
     def test_budget_zero_blocks_force_steps_not_placements(self, fig2):
@@ -423,16 +441,52 @@ class TestBalcon:
 
     def test_trace_sink_receives_events(self, fig2):
         events = []
-        _, report = balcon(fig2, params_for(0), trace=events.append)
+        _, report = balcon(fig2, params_for(4), trace=events.append)
         kinds = {e["event"] for e in events}
         assert "release_attempt" in kinds and "release_result" in kinds
-        # the attempt on host 0 revisits a state after 8 force steps; one
-        # cycle event stands in for the 3992 steps it no longer runs
+        assert all("outcome" in e for e in events if e["event"] == "release_result")
+        # At mph 0 every release of a non-empty host migrates memory, so
+        # balcon skips all three with one event each.
+        events = []
+        _, report = balcon(fig2, params_for(0), trace=events.append)
+        assert events == [
+            {"event": "release_result", "host": h, "accepted": False, "outcome": "skipped"}
+            for h in (2, 0, 1)
+        ]
+        assert report.force_steps == 0
+        # Run anyway, the release of host 0 revisits a state after 8 force
+        # steps; one cycle event stands in for the 3992 steps it no longer
+        # runs.
+        events = []
+        steps = 0
+        for h in (2, 0, 1):
+            mu = fig2.initial_mapping()
+            stashed = mu.vms_on(h)
+            for v in stashed:
+                mu.unassign(v)
+            steps += force_fit(
+                Stash(fig2, stashed), mu.active_hosts(), mu, params_for(0), events.append
+            ).force_steps
         assert [e for e in events if e["event"] == "cycle"] == [
             {"event": "cycle", "step": 8, "period": 4}
         ]
-        assert report.force_steps == 1 + 4000 + 5
+        assert steps == 1 + 4000 + 5
         assert sum(e["event"] == "force_step" for e in events) == 1 + 8 + 5
+
+    def test_outcomes(self):
+        # Releasing host 0 fits but migrates 2 units to save 1 host's worth
+        # (mph 1): rejected by the objective.  For hosts 1 and 2 even one
+        # active host plus their 3 units exceeds the initial objective 3.
+        inst = Instance(
+            [Host(i, ResourceVec(10, 10)) for i in range(3)],
+            [Flavor(0, ResourceVec(1, 2)), Flavor(1, ResourceVec(1, 3))],
+            [VM(0, 0), VM(1, 1), VM(2, 1)],
+            [0, 1, 2],
+        )
+        _, report = balcon(inst, params_for(1))
+        assert [(a.host, a.outcome) for a in report.attempts] == [
+            (0, "objective_rejected"), (1, "skipped"), (2, "skipped")
+        ]
 
     def test_report_metrics_consistent(self, fig2):
         mu0 = fig2.initial_mapping()
@@ -463,6 +517,66 @@ class TestBalcon:
             mu_a, _ = balcon(inst, params)
             mu_b, _ = sercon_modified(inst, INF_PARAMS)
             assert mu_a.assignment == mu_b.assignment
+
+
+MPHS = st.sampled_from([0, 5, 10, math.inf])
+
+
+def _check_engine_state(engine: ReleaseEngine, params: SolverParams) -> None:
+    # the running bound state against a recomputation over the mapping, and
+    # the bound against force_fit run anyway, with a large budget, on every
+    # non-empty host
+    mu, mu0 = engine.mu, engine.mu0
+    inst = mu.inst
+    active = mu.active_hosts()
+    assert engine.cap_active_c == sum(inst.capacity(g).cpu for g in active)
+    assert engine.cap_active_m == sum(inst.capacity(g).mem for g in active)
+    assert engine.lost_mem == sum(
+        inst.vm_mem(v) for v in range(len(inst.vms)) if inst.initial_host(v) not in active
+    )
+    big = replace(params, force_step_limit=10**5)
+    for h in active:
+        bound = engine.lower_bound(h)
+        mu.begin()
+        stashed = mu.vms_on(h)
+        for v in stashed:
+            mu.unassign(v)
+        result = force_fit(Stash(inst, stashed), mu.active_hosts(), mu, big)
+        assert not result.completed or objective(mu, mu0, params.weights) >= bound, h
+        mu.rollback()
+
+
+def _run_checked(inst: Instance, mph) -> None:
+    # balcon's attempt loop with the engine checked before and after each attempt
+    params = params_for(mph)
+    engine = ReleaseEngine(inst, params.weights)
+
+    def place(stashed, hosts, mu):
+        return force_fit(Stash(inst, stashed), hosts, mu, params)
+
+    mu0 = engine.mu0
+    _check_engine_state(engine, params)
+    for h in sorted(range(len(inst.hosts)), key=lambda h: (host_migration_cost(h, mu0, mu0), h)):
+        engine.attempt(h, place)
+        _check_engine_state(engine, params)
+
+
+class TestLowerBound:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), MPHS)
+    def test_sound_on_random_instances(self, seed, mph):
+        _run_checked(random_instance(random.Random(seed)), mph)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**16), st.integers(2, 6), st.sampled_from(["lopsided", "uniform"]), MPHS)
+    def test_sound_on_generated_instances(self, seed, hosts, mode, mph):
+        _run_checked(generate_instance(GenConfig(seed=seed, num_hosts=hosts, mode=mode)), mph)
+
+    def test_skipped_attempt_leaves_the_mapping(self, fig2):
+        engine = ReleaseEngine(fig2, params_for(0).weights)
+        attempt = engine.attempt(RED, lambda *args: pytest.fail("placed a skipped release"))
+        assert (attempt.outcome, attempt.force_steps, attempt.class_counts) == ("skipped", 0, {})
+        assert engine.mu.assignment == fig2.initial_mapping().assignment
 
 
 def test_solver_params_validation():
