@@ -1,222 +1,33 @@
 #!/usr/bin/env python3
-"""Solve an LP-format (MI)LP and dump variables as `name value` lines.
-
-A thin bridge to an external solver (HiGHS via scipy.optimize.milp) for the
-models emitted by `balcon export-ilp`:
+"""Solve an LP-format (MI)LP with HiGHS and dump the variables as `name value`
+lines; the same command as ``balcon solve-lp``, runnable from a checkout where
+the package is not installed:
 
     python3 scripts/solve_lp.py model.lp -o model.sol
 
-The dump format is one `name value` pair per line, which `balcon`'s solution
-reader ingests; a leading `# objective ...` comment line is ignored by the
-reader.  Exit status: 0 solved, 3 infeasible/unbounded, 4 solver missing.
-
-The parser covers the LP subset this toolkit emits (single-line rows,
-Minimize / Subject To / Bounds / General / Binary sections); files written by
-other tools in the same subset work too.
+The dump starts with a `# objective ...` comment line, which `balcon`'s
+solution reader ignores.  Exit status: 0 solved, 1 usage error, 2 unreadable
+or malformed model file, 3 infeasible or unbounded, 4 scipy with MILP support
+missing.  The parser is ``balcon.ilp.parse_lp``, re-exported here for callers
+that load this file.
 """
 from __future__ import annotations
 
-import argparse
-import re
 import sys
+from pathlib import Path
 
-_TERM = re.compile(r"([+-])?\s*(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)?\s*([A-Za-z_][A-Za-z0-9_.]*)")
-_SENSE = re.compile(r"(<=|>=|=)")
+try:
+    import balcon  # noqa: F401
+except ImportError:
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-_SECTIONS = {
-    "minimize": "objective",
-    "maximize": "objective",
-    "subject to": "constraints",
-    "st": "constraints",
-    "s.t.": "constraints",
-    "bounds": "bounds",
-    "general": "general",
-    "generals": "general",
-    "gen": "general",
-    "binary": "binary",
-    "binaries": "binary",
-    "bin": "binary",
-}
-
-
-class LpModel:
-    def __init__(self) -> None:
-        self.maximize = False
-        self.objective: dict[str, float] = {}
-        self.rows: list[tuple[str, dict[str, float], str, float]] = []
-        self.lower: dict[str, float] = {}
-        self.upper: dict[str, float] = {}
-        self.integer: set[str] = set()
-        self.binary: set[str] = set()
-        self.order: list[str] = []
-        self._seen: set[str] = set()
-
-    def note(self, name: str) -> None:
-        if name not in self._seen:
-            self._seen.add(name)
-            self.order.append(name)
-
-
-def _parse_terms(model: LpModel, text: str) -> dict[str, float]:
-    terms: dict[str, float] = {}
-    for sign, coef, name in _TERM.findall(text):
-        value = float(coef) if coef else 1.0
-        if sign == "-":
-            value = -value
-        terms[name] = terms.get(name, 0.0) + value
-        model.note(name)
-    return terms
-
-
-def parse_lp(text: str) -> LpModel:
-    model = LpModel()
-    section = None
-    for raw in text.splitlines():
-        line = raw.split("\\", 1)[0].strip()
-        if not line:
-            continue
-        key = line.lower()
-        if key in _SECTIONS:
-            section = _SECTIONS[key]
-            if key == "maximize":
-                model.maximize = True
-            continue
-        if key == "end":
-            break
-        if section == "objective":
-            body = line.split(":", 1)[1] if ":" in line else line
-            for name, coef in _parse_terms(model, body).items():
-                model.objective[name] = model.objective.get(name, 0.0) + coef
-        elif section == "constraints":
-            name, body = line.split(":", 1) if ":" in line else ("row%d" % len(model.rows), line)
-            match = _SENSE.search(body)
-            if match is None:
-                raise ValueError(f"constraint without a sense: {line!r}")
-            lhs = body[: match.start()]
-            rhs = float(body[match.end() :])
-            model.rows.append((name.strip(), _parse_terms(model, lhs), match.group(1), rhs))
-        elif section == "bounds":
-            tokens = line.split()
-            # forms: "x >= n", "n <= x <= m", "x <= n", "x free"
-            if len(tokens) == 2 and tokens[1].lower() == "free":
-                model.lower[tokens[0]] = -float("inf")
-                model.note(tokens[0])
-            elif len(tokens) == 3:
-                a, sense, b = tokens
-                if re.match(r"[A-Za-z_]", a):
-                    model.note(a)
-                    if sense == ">=":
-                        model.lower[a] = float(b)
-                    else:
-                        model.upper[a] = float(b)
-                else:
-                    model.note(b)
-                    if sense == "<=":
-                        model.lower[b] = float(a)
-                    else:
-                        model.upper[b] = float(a)
-            elif len(tokens) == 5:
-                lo, _, name, _, hi = tokens
-                model.note(name)
-                model.lower[name] = float(lo)
-                model.upper[name] = float(hi)
-            else:
-                raise ValueError(f"unsupported bounds line: {line!r}")
-        elif section == "general":
-            for name in line.split():
-                model.integer.add(name)
-                model.note(name)
-        elif section == "binary":
-            for name in line.split():
-                model.binary.add(name)
-                model.note(name)
-    return model
-
-
-def solve(model: LpModel):
-    import numpy as np
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
-    names = model.order
-    index = {n: i for i, n in enumerate(names)}
-    n = len(names)
-    c = np.zeros(n)
-    for name, coef in model.objective.items():
-        c[index[name]] = -coef if model.maximize else coef
-
-    a_rows = []
-    lo = []
-    hi = []
-    for _, terms, sense, rhs in model.rows:
-        row = np.zeros(n)
-        for name, coef in terms.items():
-            row[index[name]] += coef
-        a_rows.append(row)
-        if sense == "<=":
-            lo.append(-np.inf)
-            hi.append(rhs)
-        elif sense == ">=":
-            lo.append(rhs)
-            hi.append(np.inf)
-        else:
-            lo.append(rhs)
-            hi.append(rhs)
-
-    lower = np.zeros(n)
-    upper = np.full(n, np.inf)
-    for i, name in enumerate(names):
-        if name in model.binary:
-            lower[i], upper[i] = 0.0, 1.0
-        if name in model.lower:
-            lower[i] = model.lower[name]
-        if name in model.upper:
-            upper[i] = model.upper[name]
-    integrality = np.array(
-        [1 if (name in model.integer or name in model.binary) else 0 for name in names]
-    )
-
-    constraints = (
-        LinearConstraint(np.vstack(a_rows), np.array(lo), np.array(hi)) if a_rows else ()
-    )
-    result = milp(
-        c=c,
-        constraints=constraints,
-        integrality=integrality,
-        bounds=Bounds(lower, upper),
-    )
-    return names, result
+from balcon.ilp import parse_lp  # noqa: F401
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("model", help="LP-format model file")
-    parser.add_argument("-o", "--output", default=None, help="solution dump (default: stdout)")
-    args = parser.parse_args(argv)
+    from balcon.cli import main as cli_main
 
-    with open(args.model) as fh:
-        model = parse_lp(fh.read())
-    try:
-        names, result = solve(model)
-    except ImportError:
-        print("error: scipy with MILP support is required", file=sys.stderr)
-        return 4
-    if not result.success:
-        print(f"error: solver failed: {result.message}", file=sys.stderr)
-        return 3
-    objective = -result.fun if model.maximize else result.fun
-    lines = [f"# objective {objective:.12g}"]
-    for i, name in enumerate(names):
-        value = float(result.x[i])
-        if abs(value) < 1e-11:
-            value = 0.0
-        lines.append(f"{name} {value:.12g}")
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return cli_main(["solve-lp", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

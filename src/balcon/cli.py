@@ -1,9 +1,11 @@
 """Command-line entry point.
 
-Subcommands: solve, generate, oracle, export-ilp, eval, sweep.  Results go
-to files or stdout, diagnostics to stderr; exit status 0 on success, 1 on
-usage errors, 2 on rejected input (malformed or infeasible instances, oracle
-size refusals).
+Subcommands: solve, generate, oracle, export-ilp, solve-lp, eval, sweep.
+Results go to files or stdout, diagnostics to stderr; exit status 0 on
+success, 1 on usage errors, 2 on rejected input (malformed or infeasible
+instances, oracle size refusals, unreadable or malformed LP files).
+``solve-lp`` also exits 3 when HiGHS finds no optimum (infeasible or
+unbounded) and 4 when scipy with MILP support is missing.
 
 Memory is counted in abstract units with 1 unit = 1 MiB, so ``--mph``
 accepts raw units or a binary suffix: 1TiB = 2**20 units.  ``--mph inf``
@@ -31,7 +33,7 @@ from .evaluate import (
     write_profile_csv,
     write_sweep_csv,
 )
-from .ilp import ModelKind, emit_model, lp_suffix, read_solution
+from .ilp import ModelKind, emit_model, lp_suffix, parse_lp, read_solution, solve
 from .model import (
     ObjectiveWeights,
     ResourceVec,
@@ -236,6 +238,29 @@ def cmd_export_ilp(args) -> int:
     return 0
 
 
+def cmd_solve_lp(args) -> int:
+    with open(args.model) as fh:
+        model = parse_lp(fh.read())
+    try:
+        names, result = solve(model)
+    except ImportError:
+        print("error: scipy with MILP support is required", file=sys.stderr)
+        return 4
+    if not result.success:
+        print(f"error: solver failed: {result.message}", file=sys.stderr)
+        return 3
+    objective = -result.fun if model.maximize else result.fun
+    lines = [f"# objective {objective:.12g}"]
+    for name, value in zip(names, result.x.tolist()):
+        lines.append(f"{name} {0.0 if abs(value) < 1e-11 else value:.12g}")
+    text = "\n".join(lines) + "\n"
+    if args.output:
+        Path(args.output).write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
 def _algo_list(text: str) -> list[str]:
     names = [a.strip() for a in text.split(",") if a.strip()]
     for name in names:
@@ -354,6 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_export_ilp)
 
+    p = sub.add_parser("solve-lp", help="solve an LP file with HiGHS and dump the variables")
+    p.add_argument("model", help="LP-format model file")
+    p.add_argument("-o", "--output", default=None, help="solution dump (default stdout)")
+    p.set_defaults(func=cmd_solve_lp)
+
     p = sub.add_parser("eval", help="gap records and performance profile over instances")
     p.add_argument("instances", nargs="+")
     p.add_argument("--algos", type=_algo_list, default=list(ALGORITHMS))
@@ -384,11 +414,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 1
-    # malformed or infeasible instances, oversized oracle runs and bad
-    # solution dumps raise ValueError subclasses
+    # malformed or infeasible instances, oversized oracle runs, bad solution
+    # dumps and malformed LP files raise ValueError subclasses
     try:
         return args.func(args)
-    except (ValueError, GenerationError, FileNotFoundError) as exc:
+    except (ValueError, GenerationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,6 +12,11 @@ Three formulations are emitted for external MILP solvers:
 * Relaxed flavor flow: the same rows with in/out continuous; its optimum is a
   lower bound on the other two.
 
+``parse_lp`` reads LP text in the subset written here back into an
+``LpModel`` (rows as ``{variable: coefficient}`` dicts), and ``solve`` hands
+that model to HiGHS through ``scipy.optimize.milp`` with a sparse constraint
+matrix; scipy is imported only when ``solve`` runs.
+
 Solutions come back as plain ``name value`` lines, one variable per line.
 The objective is always recomputed from the variable values; the solver's
 reported objective is never trusted.  Infinite migration budget is emitted as
@@ -21,8 +26,9 @@ objective recomputation.
 """
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence, TextIO
@@ -34,6 +40,8 @@ __all__ = [
     "EmitCounts",
     "SolutionError",
     "SolutionReport",
+    "LpFormatError",
+    "LpModel",
     "MIGRATION_TIEBREAK_EPSILON",
     "expected_counts",
     "initial_flavor_counts",
@@ -43,6 +51,8 @@ __all__ = [
     "read_solution",
     "lp_entity_counts",
     "lp_suffix",
+    "parse_lp",
+    "solve",
 ]
 
 MIGRATION_TIEBREAK_EPSILON = Fraction(1, 10**6)
@@ -89,6 +99,8 @@ def initial_flavor_counts(inst: Instance) -> list[list[int]]:
 
 
 def _fmt_num(x) -> str:
+    if type(x) is int:
+        return str(x)
     f = Fraction(x)
     if f.denominator == 1:
         return str(f.numerator)
@@ -103,16 +115,13 @@ def _expr(terms: Sequence[tuple[object, str]], keep_zero: str | None = None) -> 
             continue
         sign = "-" if coef < 0 else "+"
         mag = _fmt_num(abs(coef))
-        token = name if mag == "1" else f"{mag} {name}"
-        if not parts:
-            parts.append(token if sign == "+" else f"- {token}")
-        else:
-            parts.append(f"{sign} {token}")
+        parts.append(f"{sign} {name}" if mag == "1" else f"{sign} {mag} {name}")
     if not parts:
         if keep_zero is None:
             raise ValueError("empty linear expression")
         return f"0 {keep_zero}"
-    return " ".join(parts)
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else text
 
 
 def _migration_weight(weights: ObjectiveWeights):
@@ -152,45 +161,32 @@ def emit_allocation_model(inst: Instance, weights: ObjectiveWeights, out: TextIO
     n_hosts = len(inst.hosts)
     w = _LpWriter()
     w_mig = _migration_weight(weights)
+    alloc = [[f"alloc_v{v}_h{h}" for h in range(n_hosts)] for v in range(n_vms)]
+    active = [f"active_h{h}" for h in range(n_hosts)]
+    migr = [f"migr_v{v}" for v in range(n_vms)]
 
-    obj_terms: list[tuple[object, str]] = [
-        (weights.w_a, f"active_h{h}") for h in range(n_hosts)
-    ]
-    obj_terms += [(w_mig * inst.vm_mem(v), f"migr_v{v}") for v in range(n_vms)]
+    obj_terms: list[tuple[object, str]] = [(weights.w_a, name) for name in active]
+    obj_terms += [(w_mig * inst.vm_mem(v), migr[v]) for v in range(n_vms)]
     w.objective = _expr(obj_terms, keep_zero="active_h0")
 
+    # the rows whose coefficients are all 1 are written directly; every VM
+    # has an initial host, so a VM row never has an empty expression
     for v in range(n_vms):
-        w.constraint(
-            f"assign_v{v}",
-            _expr([(1, f"alloc_v{v}_h{h}") for h in range(n_hosts)]),
-            "=",
-            1,
-        )
+        w.rows.append(f" assign_v{v}: {' + '.join(alloc[v])} = 1")
     for h in range(n_hosts):
-        terms = [(inst.vm_cpu(v), f"alloc_v{v}_h{h}") for v in range(n_vms)]
-        w.constraint(f"cpu_h{h}", _expr(terms, keep_zero=f"active_h{h}"), "<=", inst.capacity(h).cpu)
+        terms = [(inst.vm_cpu(v), alloc[v][h]) for v in range(n_vms)]
+        w.constraint(f"cpu_h{h}", _expr(terms, keep_zero=active[h]), "<=", inst.capacity(h).cpu)
     for h in range(n_hosts):
-        terms = [(inst.vm_mem(v), f"alloc_v{v}_h{h}") for v in range(n_vms)]
-        w.constraint(f"mem_h{h}", _expr(terms, keep_zero=f"active_h{h}"), "<=", inst.capacity(h).mem)
+        terms = [(inst.vm_mem(v), alloc[v][h]) for v in range(n_vms)]
+        w.constraint(f"mem_h{h}", _expr(terms, keep_zero=active[h]), "<=", inst.capacity(h).mem)
     for v in range(n_vms):
-        for h in range(n_hosts):
-            w.constraint(
-                f"link_v{v}_h{h}",
-                _expr([(1, f"alloc_v{v}_h{h}"), (-1, f"active_h{h}")]),
-                "<=",
-                0,
-            )
-    for v in range(n_vms):
-        w.constraint(
-            f"migr_v{v}",
-            _expr([(1, f"migr_v{v}"), (1, f"alloc_v{v}_h{inst.initial_host(v)}")]),
-            "=",
-            1,
+        w.rows.extend(
+            f" link_v{v}_h{h}: {name} - {active[h]} <= 0" for h, name in enumerate(alloc[v])
         )
+    for v in range(n_vms):
+        w.rows.append(f" migr_v{v}: {migr[v]} + {alloc[v][inst.initial_host(v)]} = 1")
 
-    names = [f"alloc_v{v}_h{h}" for v in range(n_vms) for h in range(n_hosts)]
-    names += [f"active_h{h}" for h in range(n_hosts)]
-    names += [f"migr_v{v}" for v in range(n_vms)]
+    names = [name for row in alloc for name in row] + active + migr
     w.binary = names
     out.write(w.render())
     return EmitCounts(len(names), len(w.rows))
@@ -204,67 +200,44 @@ def emit_flavor_flow_model(
     counts = initial_flavor_counts(inst)
     w = _LpWriter()
     w_mig = _migration_weight(weights)
+    demands = [flavor.demand for flavor in inst.flavors]
+    active = [f"active_h{h}" for h in range(n_hosts)]
+    inflow = [[f"in_f{f}_h{h}" for h in range(n_hosts)] for f in range(n_flavors)]
+    outflow = [[f"out_f{f}_h{h}" for h in range(n_hosts)] for f in range(n_flavors)]
 
-    obj_terms: list[tuple[object, str]] = [
-        (weights.w_a, f"active_h{h}") for h in range(n_hosts)
-    ]
+    obj_terms: list[tuple[object, str]] = [(weights.w_a, name) for name in active]
     obj_terms += [
-        (w_mig * inst.flavors[f].demand.mem, f"out_f{f}_h{h}")
-        for f in range(n_flavors)
-        for h in range(n_hosts)
+        (w_mig * demands[f].mem, name) for f in range(n_flavors) for name in outflow[f]
     ]
     w.objective = _expr(obj_terms, keep_zero="active_h0")
 
     for f in range(n_flavors):
-        terms = [(1, f"out_f{f}_h{h}") for h in range(n_hosts)]
-        terms += [(-1, f"in_f{f}_h{h}") for h in range(n_hosts)]
+        terms = [(1, name) for name in outflow[f]]
+        terms += [(-1, name) for name in inflow[f]]
         w.constraint(f"flow_f{f}", _expr(terms), "=", 0)
     for f in range(n_flavors):
-        for h in range(n_hosts):
-            w.constraint(f"outcap_f{f}_h{h}", _expr([(1, f"out_f{f}_h{h}")]), "<=", counts[f][h])
+        w.rows.extend(
+            f" outcap_f{f}_h{h}: {outflow[f][h]} <= {n}" for h, n in enumerate(counts[f])
+        )
     for f in range(n_flavors):
+        for h, n_fh in enumerate(counts[f]):
+            out_fh = outflow[f][h]
+            expr = _expr([(-n_fh, active[h]), (-1, out_fh)], keep_zero=out_fh)
+            w.constraint(f"evac_f{f}_h{h}", expr, "<=", -n_fh)
+    for resource in ("cpu", "mem"):
+        need = [getattr(d, resource) for d in demands]
         for h in range(n_hosts):
-            n_fh = counts[f][h]
-            w.constraint(
-                f"evac_f{f}_h{h}",
-                _expr(
-                    [(-n_fh, f"active_h{h}"), (-1, f"out_f{f}_h{h}")],
-                    keep_zero=f"out_f{f}_h{h}",
-                ),
-                "<=",
-                -n_fh,
-            )
-    for h in range(n_hosts):
-        terms = [
-            (inst.flavors[f].demand.cpu, f"in_f{f}_h{h}") for f in range(n_flavors)
-        ]
-        terms += [
-            (-inst.flavors[f].demand.cpu, f"out_f{f}_h{h}") for f in range(n_flavors)
-        ]
-        terms.append((-inst.capacity(h).cpu, f"active_h{h}"))
-        rhs = -sum(inst.flavors[f].demand.cpu * counts[f][h] for f in range(n_flavors))
-        w.constraint(f"cpu_h{h}", _expr(terms), "<=", rhs)
-    for h in range(n_hosts):
-        terms = [
-            (inst.flavors[f].demand.mem, f"in_f{f}_h{h}") for f in range(n_flavors)
-        ]
-        terms += [
-            (-inst.flavors[f].demand.mem, f"out_f{f}_h{h}") for f in range(n_flavors)
-        ]
-        terms.append((-inst.capacity(h).mem, f"active_h{h}"))
-        rhs = -sum(inst.flavors[f].demand.mem * counts[f][h] for f in range(n_flavors))
-        w.constraint(f"mem_h{h}", _expr(terms), "<=", rhs)
+            terms = [(need[f], inflow[f][h]) for f in range(n_flavors)]
+            terms += [(-need[f], outflow[f][h]) for f in range(n_flavors)]
+            terms.append((-getattr(inst.capacity(h), resource), active[h]))
+            rhs = -sum(need[f] * counts[f][h] for f in range(n_flavors))
+            w.constraint(f"{resource}_h{h}", _expr(terms), "<=", rhs)
 
-    flow_names = [
-        f"{direction}_f{f}_h{h}"
-        for direction in ("in", "out")
-        for f in range(n_flavors)
-        for h in range(n_hosts)
-    ]
+    flow_names = [name for table in (inflow, outflow) for row in table for name in row]
     w.bounds = [f"{name} >= 0" for name in flow_names]
     if not relaxed:
         w.general = flow_names
-    w.binary = [f"active_h{h}" for h in range(n_hosts)]
+    w.binary = active
     out.write(w.render())
     return EmitCounts(len(flow_names) + n_hosts, len(w.rows))
 
@@ -433,7 +406,27 @@ def _read_flow(
     return SolutionReport(kind, objective, None, values)
 
 
-_SECTION_NAMES = {
+class LpFormatError(ValueError):
+    """LP text outside the subset ``parse_lp`` reads."""
+
+
+@dataclass
+class LpModel:
+    """A model in the LP subset: each row is ``(name, {variable: coefficient},
+    sense, rhs)``, and ``order`` lists the variables by first appearance,
+    which is the column order ``solve`` uses."""
+
+    maximize: bool = False
+    objective: dict[str, float] = field(default_factory=dict)
+    rows: list[tuple[str, dict[str, float], str, float]] = field(default_factory=list)
+    lower: dict[str, float] = field(default_factory=dict)
+    upper: dict[str, float] = field(default_factory=dict)
+    integer: set[str] = field(default_factory=set)
+    binary: set[str] = field(default_factory=set)
+    order: list[str] = field(default_factory=list)
+
+
+_SECTIONS = {
     "minimize": "objective",
     "maximize": "objective",
     "subject to": "constraints",
@@ -442,38 +435,204 @@ _SECTION_NAMES = {
     "bounds": "bounds",
     "general": "general",
     "generals": "general",
+    "gen": "general",
     "binary": "binary",
     "binaries": "binary",
+    "bin": "binary",
 }
+_LONGEST_WORD = max(len(word) for header in _SECTIONS for word in header.split())
+_SENSE = re.compile(r"<=|>=|=")
+_NUMBER = r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
+_NAME = r"[A-Za-z_][A-Za-z0-9_.]*"
+_IS_NUMBER = re.compile(_NUMBER).fullmatch
+_IS_NAME = re.compile(_NAME).fullmatch
+_LEXEMES = re.compile(rf"[+-]|{_NUMBER}|{_NAME}|\S").findall
+_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
+_SENSES = {sense: sense for sense in _FLIPPED}  # one string object per sense
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+def _linear(tokens: list[str], columns: dict[str, str], spaced: bool = False) -> dict[str, float]:
+    """The terms ``[sign] [coefficient] name`` of a linear expression given
+    as its whitespace-separated tokens, summed per variable in order of
+    appearance.  Each variable is noted in ``columns``, which maps a name
+    to the one string object the model keeps for it.
+
+    A token that glues a sign, a coefficient and a variable together
+    (``-2x``) sends the whole expression through the lexer once, which
+    splits them apart.  Of two signs in a row the later one counts; a
+    coefficient or sign with no variable after it is an error.
+    """
+    terms: dict[str, float] = {}
+    sign = coef = None
+    for tok in tokens:
+        if not tok.isidentifier():
+            if tok == "+" or tok == "-" or tok.isdecimal() or _IS_NUMBER(tok):
+                if coef is not None:
+                    raise LpFormatError(f"coefficient {coef:g} without a variable")
+                if tok == "+" or tok == "-":
+                    sign = tok
+                else:
+                    coef = float(tok)
+                continue
+            if not _IS_NAME(tok):
+                if spaced:
+                    raise LpFormatError(f"unexpected text {tok!r}")
+                return _linear(_LEXEMES(" ".join(tokens)), columns, spaced=True)
+        tok = columns.setdefault(tok, tok)
+        if coef is None:
+            value = -1.0 if sign == "-" else 1.0
+        else:
+            value = 0.0 - coef if sign == "-" else coef
+        if tok in terms:
+            terms[tok] += value
+        else:
+            terms[tok] = value
+        sign = coef = None
+    if sign is not None or coef is not None:
+        raise LpFormatError("sign or coefficient without a variable")
+    return terms
+
+
+def _bound(model: LpModel, tokens: list[str]) -> str:
+    """Apply one bounds line (``x free``, ``x >= l``, ``u >= x``, ``l <= x <= u``
+    and the like); return the variable it names."""
+    if len(tokens) == 2 and tokens[1].lower() == "free":
+        model.lower[tokens[0]] = -math.inf
+        return tokens[0]
+    if len(tokens) == 3 and tokens[1] in _FLIPPED:
+        name, sense, value = tokens
+        if not _IS_NAME(name):
+            value, sense, name = name, _FLIPPED[sense], value
+        if sense != "<=":
+            model.lower[name] = float(value)
+        if sense != ">=":
+            model.upper[name] = float(value)
+        return name
+    if len(tokens) == 5 and tokens[1] == tokens[3] == "<=":
+        lo, _, name, _, hi = tokens
+        model.lower[name] = float(lo)
+        model.upper[name] = float(hi)
+        return name
+    raise LpFormatError("unsupported bounds line")
+
+
+def parse_lp(text: str) -> LpModel:
+    """Parse LP text in the subset this module writes: single-line rows, a
+    ``Minimize``/``Maximize`` objective, ``Subject To``, ``Bounds``,
+    ``General`` and ``Binary`` sections (with their short and plural
+    headers), and comments from a backslash to the end of the line.  Text
+    after ``End`` is ignored.
+
+    Raises ``LpFormatError`` naming the line number and its text for a row
+    without a sense, a bad number or expression, or an unsupported bounds
+    line.
+    """
+    model = LpModel()
+    rows = model.rows
+    columns: dict[str, str] = {}  # insertion order is the column order
+    section = None
+    lineno = 0
+    raw = ""
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("\\", 1)[0] if "\\" in raw else raw
+            tokens = line.split()
+            if not tokens:
+                continue
+            if len(tokens) <= 2 and len(tokens[0]) <= _LONGEST_WORD:
+                key = line.strip().lower()
+                if key in _SECTIONS:
+                    section = _SECTIONS[key]
+                    model.maximize = model.maximize or key == "maximize"
+                    continue
+                if key == "end":
+                    break
+            if not line.isascii():
+                raise LpFormatError("non-ASCII text")
+            if section == "constraints":
+                head = tokens[0]
+                if len(tokens) > 2 and tokens[-2] in _SENSES and head.find(":") == len(head) - 1:
+                    # the emitted form "name: lhs sense rhs", spaced out
+                    name, lhs, sense, rhs = head[:-1], tokens[1:-2], tokens[-2], tokens[-1]
+                else:
+                    name, colon, body = line.partition(":")
+                    if not colon:
+                        name, body = f"row{len(rows)}", line
+                    match = _SENSE.search(body)
+                    if match is None:
+                        raise LpFormatError("constraint without a sense")
+                    lhs, sense, rhs = body[: match.start()].split(), match.group(), body[match.end() :]
+                rows.append((name.strip(), _linear(lhs, columns), _SENSES[sense], float(rhs)))
+            elif section == "objective":
+                _, colon, body = line.partition(":")
+                for name, coef in _linear((body if colon else line).split(), columns).items():
+                    model.objective[name] = model.objective.get(name, 0.0) + coef
+            elif section == "bounds":
+                name = _bound(model, tokens)
+                columns.setdefault(name, name)
+            elif section is not None:
+                names = model.integer if section == "general" else model.binary
+                for name in tokens:
+                    names.add(columns.setdefault(name, name))
+    except ValueError as exc:
+        raise LpFormatError(f"line {lineno}: {exc}: {raw.strip()!r}") from exc
+    model.order = list(columns)
+    return model
 
 
 def lp_entity_counts(text: str) -> EmitCounts:
     """Count distinct variables and constraint rows in an emitted LP file."""
-    section = None
-    names: set[str] = set()
-    rows = 0
-    for raw in text.splitlines():
-        line = raw.split("\\", 1)[0].strip()
-        if not line:
-            continue
-        key = line.lower()
-        if key in _SECTION_NAMES:
-            section = _SECTION_NAMES[key]
-            continue
-        if key == "end":
-            break
-        if section == "objective":
-            body = line.split(":", 1)[1] if ":" in line else line
-            names.update(_IDENT.findall(body))
-        elif section == "constraints":
-            if ":" in line:
-                rows += 1
-                body = line.split(":", 1)[1]
-            else:
-                body = line
-            names.update(_IDENT.findall(body))
-        elif section in ("bounds", "general", "binary"):
-            names.update(_IDENT.findall(line))
-    return EmitCounts(len(names), rows)
+    model = parse_lp(text)
+    return EmitCounts(len(model.order), len(model.rows))
+
+
+def solve(model: LpModel):
+    """Solve ``model`` with HiGHS through ``scipy.optimize.milp``.
+
+    The constraint matrix is a ``scipy.sparse.csr_array`` with one stored
+    entry per parsed term.  Returns ``(names, result)``: the column names in
+    ``model.order`` and scipy's ``OptimizeResult``.  Raises ``ImportError``
+    when scipy with MILP support is missing.
+    """
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_array
+
+    names = model.order
+    index = {name: i for i, name in enumerate(names)}
+    n = len(names)
+    c = np.zeros(n)
+    for name, coef in model.objective.items():
+        c[index[name]] = -coef if model.maximize else coef
+
+    indices: list[int] = []
+    data: list[float] = []
+    indptr = [0]
+    lo = np.full(len(model.rows), -np.inf)
+    hi = np.full(len(model.rows), np.inf)
+    for i, (_, terms, sense, rhs) in enumerate(model.rows):
+        indices.extend(map(index.__getitem__, terms))
+        data.extend(terms.values())
+        indptr.append(len(indices))
+        if sense != "<=":
+            lo[i] = rhs
+        if sense != ">=":
+            hi[i] = rhs
+
+    lower = np.zeros(n)
+    upper = np.full(n, np.inf)
+    for i, name in enumerate(names):
+        if name in model.binary:
+            lower[i], upper[i] = 0.0, 1.0
+        if name in model.lower:
+            lower[i] = model.lower[name]
+        if name in model.upper:
+            upper[i] = model.upper[name]
+    integrality = np.array([name in model.integer or name in model.binary for name in names], dtype=int)
+
+    constraints = ()
+    if model.rows:
+        matrix = csr_array((data, indices, indptr), shape=(len(model.rows), n))
+        constraints = LinearConstraint(matrix, lo, hi)
+    result = milp(c=c, constraints=constraints, integrality=integrality, bounds=Bounds(lower, upper))
+    return names, result

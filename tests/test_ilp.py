@@ -1,6 +1,9 @@
-import importlib.util
 import io
 import math
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,7 +23,8 @@ from balcon import (
     objective,
     read_solution,
 )
-from balcon.ilp import initial_flavor_counts
+from balcon.cli import main as cli_main
+from balcon.ilp import EmitCounts, LpFormatError, initial_flavor_counts, parse_lp, solve
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -34,15 +38,6 @@ except ImportError:  # pragma: no cover
 needs_solver = pytest.mark.skipif(not HAVE_MILP, reason="no MILP solver available")
 
 
-def load_lp_bridge():
-    spec = importlib.util.spec_from_file_location(
-        "solve_lp", REPO_ROOT / "scripts" / "solve_lp.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def emit_text(kind: ModelKind, inst: Instance, weights: ObjectiveWeights):
     buf = io.StringIO()
     counts = emit_model(kind, inst, weights, buf)
@@ -50,9 +45,7 @@ def emit_text(kind: ModelKind, inst: Instance, weights: ObjectiveWeights):
 
 
 def solve_text(lp_text: str) -> str:
-    bridge = load_lp_bridge()
-    model = bridge.parse_lp(lp_text)
-    names, result = bridge.solve(model)
+    names, result = solve(parse_lp(lp_text))
     assert result.success, result.message
     return "\n".join(f"{n} {result.x[i]:.12g}" for i, n in enumerate(names))
 
@@ -90,6 +83,75 @@ class TestCounts:
                 text, counts = emit_text(kind, inst, W10)
                 assert counts == expected_counts(kind, v, h, f)
                 assert lp_entity_counts(text) == counts
+
+
+    def test_short_section_headers(self):
+        # "Bin" and "Gen" are section headers, not variables
+        text = (
+            "Minimize\n obj: x + y\nSubject To\n c1: x + y <= 1\n"
+            "Bounds\n x >= 0\nBin\n y\nGen\n x\nEnd\n"
+        )
+        assert lp_entity_counts(text) == EmitCounts(2, 1)
+        model = parse_lp(text)
+        assert (model.order, model.binary, model.integer) == (["x", "y"], {"y"}, {"x"})
+
+
+BAD_LP = {
+    "no sense": ("Minimize\n obj: x\nSubject To\n c1: x + y 3\nEnd\n", 4, "c1: x + y 3"),
+    "bounds": ("Minimize\n obj: x\nSubject To\n c1: x >= 1\nBounds\n x>=0\nEnd\n", 6, "x>=0"),
+    "dangling coefficient": ("Minimize\n obj: x + 3\nSubject To\n c1: x >= 1\nEnd\n", 2, "obj: x + 3"),
+    "bad rhs": ("Minimize\n obj: x\nSubject To\n c1: x >= one\nEnd\n", 4, "c1: x >= one"),
+    "stray text": ("Minimize\n obj: x\nSubject To\n c1: 2 * x >= 1\nEnd\n", 4, "c1: 2 * x >= 1"),
+}
+
+
+class TestParseLp:
+    @pytest.mark.parametrize("case", sorted(BAD_LP))
+    def test_malformed_line_is_named(self, case):
+        text, lineno, line = BAD_LP[case]
+        with pytest.raises(LpFormatError, match=f"line {lineno}: .*{re.escape(repr(line))}"):
+            parse_lp(text)
+
+
+class TestSolveLpCommand:
+    """``balcon solve-lp`` (and so ``scripts/solve_lp.py``): 0 solved,
+    2 unreadable or malformed model, 3 infeasible, 4 scipy missing."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_LP))
+    def test_malformed_model_exits_2(self, case, tmp_path, capsys):
+        text, lineno, line = BAD_LP[case]
+        path = tmp_path / "bad.lp"
+        path.write_text(text)
+        assert cli_main(["solve-lp", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {lineno}" in err and line in err
+        assert "Traceback" not in err
+
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        assert cli_main(["solve-lp", str(tmp_path / "absent.lp")]) == 2
+        assert "absent.lp" in capsys.readouterr().err
+
+    def test_missing_scipy_exits_4(self, fig2, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "m.lp"
+        path.write_text(emit_text(ModelKind.ALLOCATION, fig2, W10)[0])
+        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+        assert cli_main(["solve-lp", str(path)]) == 4
+        assert "scipy" in capsys.readouterr().err
+
+    @needs_solver
+    def test_infeasible_model_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "inf.lp"
+        path.write_text("Minimize\n obj: x\nSubject To\n c1: x >= 2\n c2: x <= 1\nEnd\n")
+        assert cli_main(["solve-lp", str(path)]) == 3
+        assert "infeasible" in capsys.readouterr().err.lower()
+
+    @needs_solver
+    def test_dump_goes_to_stdout(self, fig2, tmp_path, capsys):
+        path = tmp_path / "m.lp"
+        path.write_text(emit_text(ModelKind.ALLOCATION, fig2, W10)[0])
+        assert cli_main(["solve-lp", str(path)]) == 0
+        report = read_solution(ModelKind.ALLOCATION, fig2, capsys.readouterr().out, W10)
+        assert report.objective == 24
 
 
 class TestEmission:
@@ -206,14 +268,51 @@ class TestSolverChain:
         assert objective(report.mapping, mu0, W10) == report.objective
 
     def test_bridge_writes_dump_file(self, fig2, tmp_path):
-        bridge = load_lp_bridge()
         lp_path = tmp_path / "m.lp"
         with open(lp_path, "w") as fh:
             emit_model(ModelKind.ALLOCATION, fig2, W10, fh)
         out_path = tmp_path / "m.sol"
-        assert bridge.main([str(lp_path), "-o", str(out_path)]) == 0
+        # no PYTHONPATH: the script finds the package sources next to it
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "scripts" / "solve_lp.py"), str(lp_path), "-o", str(out_path)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
         report = read_solution(ModelKind.ALLOCATION, fig2, out_path.read_text(), W10)
         assert report.objective == 24
+
+    def test_sparse_bridge_on_twelve_hosts(self, monkeypatch):
+        import scipy.optimize
+        from scipy.sparse import csr_array
+
+        from balcon import GenConfig, SolverParams, balcon, generate_instance
+
+        inst = generate_instance(GenConfig(seed=1, num_hosts=12))
+        weights = ObjectiveWeights.from_mph(10)
+        model = parse_lp(emit_text(ModelKind.ALLOCATION, inst, weights)[0])
+        seen = []
+        milp = scipy.optimize.milp
+
+        def recording_milp(*args, **kwargs):
+            seen.append(kwargs["constraints"].A)
+            return milp(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "milp", recording_milp)
+        names, result = solve(model)
+        assert result.success, result.message
+        (matrix,) = seen
+        assert isinstance(matrix, csr_array)
+        assert matrix.shape == (len(model.rows), len(model.order))
+        assert matrix.nnz == sum(len(terms) for _, terms, _, _ in model.rows)
+
+        dump = "\n".join(f"{n} {x:.12g}" for n, x in zip(names, result.x))
+        optimum = read_solution(ModelKind.ALLOCATION, inst, dump, weights).objective
+        mapping, _ = balcon(inst, SolverParams(weights=weights))
+        assert optimum <= objective(mapping, inst.initial_mapping(), weights)
+        lb_text, _ = emit_text(ModelKind.RELAXED_FLAVOR_FLOW, inst, weights)
+        lb = read_solution(ModelKind.RELAXED_FLAVOR_FLOW, inst, solve_text(lb_text), weights)
+        assert lb.objective <= optimum + 1e-6
 
     def test_eval_cli_ingests_external_lower_bound(self, tmp_path):
         # an instance too large for the built-in oracle falls back to the

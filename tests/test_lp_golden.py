@@ -17,7 +17,6 @@ Record the data again with::
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import io
 import json
 import math
@@ -26,20 +25,13 @@ from pathlib import Path
 import pytest
 
 from balcon import ModelKind, ObjectiveWeights, emit_model
+from balcon.ilp import parse_lp
 
 from conftest import make_fig2, tiny_instances
 
 DATA = Path(__file__).parent / "data" / "golden_lp.json"
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 MPHS = {"0": 0, "10": 10, "inf": math.inf}
-
-
-def _parser():
-    spec = importlib.util.spec_from_file_location("solve_lp", REPO_ROOT / "scripts" / "solve_lp.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.parse_lp
 
 
 PARSE_CASES = {
@@ -233,7 +225,6 @@ def golden() -> dict:
 
 
 def test_parse_cases_match_golden(golden):
-    parse_lp = _parser()
     texts = {**PARSE_CASES, **_emitted_cases()}
     assert sorted(texts) == sorted(golden["parse"])
     for name, text in texts.items():
@@ -252,7 +243,6 @@ def test_emitted_text_matches_golden(golden):
 
 
 def record() -> None:
-    parse_lp = _parser()
     texts = {**PARSE_CASES, **_emitted_cases()}
     data = {
         "parse": {name: {"text": text, "model": model_record(parse_lp(text))} for name, text in texts.items()},
