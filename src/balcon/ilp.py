@@ -169,8 +169,8 @@ def emit_allocation_model(inst: Instance, weights: ObjectiveWeights, out: TextIO
     obj_terms += [(w_mig * inst.vm_mem(v), migr[v]) for v in range(n_vms)]
     w.objective = _expr(obj_terms, keep_zero="active_h0")
 
-    # the rows whose coefficients are all 1 are written directly; every VM
-    # has an initial host, so a VM row never has an empty expression
+    # fixed-shape rows are formatted directly; every VM has an initial host,
+    # so n_hosts > 0 whenever a VM row exists and no expression is empty
     for v in range(n_vms):
         w.rows.append(f" assign_v{v}: {' + '.join(alloc[v])} = 1")
     for h in range(n_hosts):
@@ -531,8 +531,6 @@ def parse_lp(text: str) -> LpModel:
     rows = model.rows
     columns: dict[str, str] = {}  # insertion order is the column order
     section = None
-    lineno = 0
-    raw = ""
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("\\", 1)[0] if "\\" in raw else raw

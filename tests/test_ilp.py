@@ -84,7 +84,6 @@ class TestCounts:
                 assert counts == expected_counts(kind, v, h, f)
                 assert lp_entity_counts(text) == counts
 
-
     def test_short_section_headers(self):
         # "Bin" and "Gen" are section headers, not variables
         text = (
