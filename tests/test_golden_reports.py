@@ -10,8 +10,8 @@ lopsided/uniform twins with 6, 12 and 20 hosts, seeds 0-2, at mph inf.
 Each entry of ``data/golden_baselines.json`` holds the final assignment of one
 ``sercon-mod`` or ``sercon-orig`` run and every attempt's host, acceptance and
 release.  The runs are the tiny corpus at mph 0, 10 and inf, and
-generator-default lopsided instances at fill 0.6 with 20, 50 and 100 hosts,
-seeds 0-2, at mph 10 and inf.  ``sercon-orig-capped`` is ``sercon_original``
+generator-default lopsided instances at fill 0.6 with 20, 50, 100 and 300
+hosts, seeds 0-2, at mph 10 and inf.  ``sercon-orig-capped`` is ``sercon_original``
 with a total budget of 5 migrations, so the budget path is pinned too.
 
 ``golden_reports.json`` was recorded before the engine skipped attempts whose
@@ -71,7 +71,7 @@ GROUPS = {
     **{f"twins-{n}-hosts": partial(_twin_runs, n) for n in TWIN_HOSTS},
 }
 
-LOPSIDED_HOSTS = (20, 50, 100)
+LOPSIDED_HOSTS = (20, 50, 100, 300)
 LOPSIDED_MPHS = {"10": 10, "inf": math.inf}
 
 
