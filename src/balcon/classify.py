@@ -182,7 +182,9 @@ def classify(
             fm = cap_m[h] - load_m[h]
             if vc <= fc and vm <= fm:
                 return ClusterClass.AMPLE
-            cap_num += min(fc * s_mem, fm * s_cpu)
+            by_c = fc * s_mem
+            by_m = fm * s_cpu
+            cap_num += by_c if by_c < by_m else by_m
             sum_c += fc
             sum_m += fm
         den = s_cpu * s_mem

@@ -449,6 +449,7 @@ _IS_NAME = re.compile(_NAME).fullmatch
 _LEXEMES = re.compile(rf"[+-]|{_NUMBER}|{_NAME}|\S").findall
 _FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
 _SENSES = {sense: sense for sense in _FLIPPED}  # one string object per sense
+_INF = math.inf
 
 
 def _linear(tokens: list[str], columns: dict[str, str], spaced: bool = False) -> dict[str, float]:
@@ -473,6 +474,8 @@ def _linear(tokens: list[str], columns: dict[str, str], spaced: bool = False) ->
                     sign = tok
                 else:
                     coef = float(tok)
+                    if coef == _INF:  # unsigned digits overflow to +inf only
+                        raise LpFormatError("non-finite coefficient")
                 continue
             if not _IS_NAME(tok):
                 if spaced:
@@ -484,13 +487,27 @@ def _linear(tokens: list[str], columns: dict[str, str], spaced: bool = False) ->
         else:
             value = 0.0 - coef if sign == "-" else coef
         if tok in terms:
-            terms[tok] += value
+            terms[tok] = _finite(terms[tok] + value, "coefficient")
         else:
             terms[tok] = value
         sign = coef = None
     if sign is not None or coef is not None:
         raise LpFormatError("sign or coefficient without a variable")
     return terms
+
+
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise LpFormatError(f"non-finite {what}")
+    return value
+
+
+def _bound_value(text: str) -> float:
+    # an infinite bound is legal, an undefined one is not
+    value = float(text)
+    if math.isnan(value):
+        raise LpFormatError("NaN bound")
+    return value
 
 
 def _bound(model: LpModel, tokens: list[str]) -> str:
@@ -504,14 +521,14 @@ def _bound(model: LpModel, tokens: list[str]) -> str:
         if not _IS_NAME(name):
             value, sense, name = name, _FLIPPED[sense], value
         if sense != "<=":
-            model.lower[name] = float(value)
+            model.lower[name] = _bound_value(value)
         if sense != ">=":
-            model.upper[name] = float(value)
+            model.upper[name] = _bound_value(value)
         return name
     if len(tokens) == 5 and tokens[1] == tokens[3] == "<=":
         lo, _, name, _, hi = tokens
-        model.lower[name] = float(lo)
-        model.upper[name] = float(hi)
+        model.lower[name] = _bound_value(lo)
+        model.upper[name] = _bound_value(hi)
         return name
     raise LpFormatError("unsupported bounds line")
 
@@ -524,8 +541,9 @@ def parse_lp(text: str) -> LpModel:
     after ``End`` is ignored.
 
     Raises ``LpFormatError`` naming the line number and its text for a row
-    without a sense, a bad number or expression, or an unsupported bounds
-    line.
+    without a sense, a bad number or expression, a non-finite coefficient or
+    right-hand side, a NaN bound, or an unsupported bounds line.  Infinite
+    bounds are legal.
     """
     model = LpModel()
     rows = model.rows
@@ -560,11 +578,18 @@ def parse_lp(text: str) -> LpModel:
                     if match is None:
                         raise LpFormatError("constraint without a sense")
                     lhs, sense, rhs = body[: match.start()].split(), match.group(), body[match.end() :]
-                rows.append((name.strip(), _linear(lhs, columns), _SENSES[sense], float(rhs)))
+                rhs = float(rhs)
+                if not -_INF < rhs < _INF:
+                    raise LpFormatError("non-finite right-hand side")
+                rows.append((name.strip(), _linear(lhs, columns), _SENSES[sense], rhs))
             elif section == "objective":
                 _, colon, body = line.partition(":")
+                objective = model.objective
                 for name, coef in _linear((body if colon else line).split(), columns).items():
-                    model.objective[name] = model.objective.get(name, 0.0) + coef
+                    if name in objective:
+                        objective[name] = _finite(objective[name] + coef, "coefficient")
+                    else:
+                        objective[name] = coef
             elif section == "bounds":
                 name = _bound(model, tokens)
                 columns.setdefault(name, name)

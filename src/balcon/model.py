@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import compress
 from operator import le, ne
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "ResourceVec",
@@ -352,14 +352,9 @@ class Mapping:
 
     def rollback(self) -> None:
         """Close the open attempt and restore the mapping as of ``begin()``."""
-        if self._journal is None:
-            raise RuntimeError("no attempt is open on this mapping")
+        touched = self._touched()
         host_of, load_c, load_m = self._snapshot
         now = self._host_of
-        touched = self._journal
-        if len(touched) > len(now):
-            # a long attempt touched VMs many times over: compare every VM
-            touched = compress(range(len(now)), map(ne, host_of, now))
         members = self._members
         for v in touched:
             old, new = host_of[v], now[v]
@@ -370,6 +365,37 @@ class Mapping:
                     members[old].add(v)
         self._host_of, self._load_c, self._load_m = host_of, load_c, load_m
         self._journal = self._snapshot = None
+
+    def _touched(self) -> Iterable[int]:
+        # the VMs the open attempt may have moved
+        touched = self._journal
+        if touched is None:
+            raise RuntimeError("no attempt is open on this mapping")
+        if len(touched) > len(self._host_of):
+            # a long attempt touched VMs many times over: compare every VM
+            return compress(range(len(self._host_of)), map(ne, self._snapshot[0], self._host_of))
+        return touched
+
+    def moved_hosts(self) -> set[int]:
+        """The hosts that gained or lost a VM in the open attempt; the load of
+        every other host equals its ``committed_loads()`` entry."""
+        touched = self._touched()
+        host_of, now = self._snapshot[0], self._host_of
+        hosts = set()
+        for v in touched:
+            old, new = host_of[v], now[v]
+            if old != new:
+                hosts.add(old)
+                hosts.add(new)
+        hosts.discard(None)
+        return hosts
+
+    def committed_loads(self) -> tuple[list[int], list[int]]:
+        """The cpu and mem load lists as of ``begin()`` while an attempt is
+        open, else the current ones.  Read-only."""
+        if self._snapshot is None:
+            return self._load_c, self._load_m
+        return self._snapshot[1], self._snapshot[2]
 
     @property
     def assignment(self) -> tuple[int | None, ...]:

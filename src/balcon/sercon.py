@@ -59,13 +59,13 @@ def sercon_original(
         if budget is not None and migrations_used + len(stashed) > budget:
             return ForceFitResult(0, {}, False, "migration budget exhausted")
         for v in sorted(stashed, key=lambda x: (-size[x], x)):
-            if best_fit(v, hosts, mu) is None:
+            if best_fit(v, engine.room(v), mu) is None:
                 return ForceFitResult(0, {}, False, f"vm {v} fits no host")
         return ForceFitResult(0, {}, True)
 
     for _ in range(len(inst.hosts)):
         released_any = False
-        order = sorted(mu.active_hosts(), key=lambda h: (host_migration_cost(h, mu, mu0), h))
+        order = sorted(engine.active, key=lambda h: (host_migration_cost(h, mu, mu0), h))
         for h in order:
             moving = len(mu.members(h))
             if engine.attempt(h, place).accepted:

@@ -185,17 +185,25 @@ def best_fit(v: int, hosts: Sequence[int], mu: Mapping) -> int | None:
     the lower host id) and return the chosen host.
 
     Returns None, leaving ``mu`` untouched, when v fits none of the hosts.
+    Only fitting hosts count, so ``hosts`` may be any ascending superset of
+    the fitting ones, such as ``ReleaseEngine.room(v)``: the choice is the
+    same.
     """
     inst = mu.inst
-    vc, vm = inst.vm_cpu(v), inst.vm_mem(v)
+    vc, vm = inst._vm_cpu[v], inst._vm_mem[v]
     cap_c, cap_m = inst._cap_cpu, inst._cap_mem
     load_c, load_m = mu._load_c, mu._load_m
     choice = None
+    # the best surrogate load so far as num / den; -1 is below every load
+    best_num, best_den = -1, 1
     for h in hosts:
         if cap_c[h] - load_c[h] < vc or cap_m[h] - load_m[h] < vm:
             continue
-        if choice is None or _surrogate_gt(mu, h, choice):
-            choice = h
+        cc, cm = cap_c[h], cap_m[h]
+        num = load_c[h] * cm + load_m[h] * cc
+        den = cc * cm
+        if num * best_den > best_num * den:
+            choice, best_num, best_den = h, num, den
     if choice is not None:
         mu.assign(v, choice)
     return choice
@@ -388,16 +396,27 @@ def force_fit(
     mu: Mapping,
     params: SolverParams,
     trace: TraceSink = None,
+    room: Callable[[int], Sequence[int]] | None = None,
 ) -> ForceFitResult:
     """Drain the stash into ``hosts``, mutating ``mu``.
 
-    Direct placements are free; Balanced/Lopsided placements consume Force
-    Steps up to the budget ``params.force_step_limit``.  The budget is an
-    upper bound on the work done: an attempt that revisits a loop state can
-    only go round the same cycle until the budget runs out, so it ends at
-    once with the report that running out the budget would have given.  On
-    budget exhaustion, or when some VM fits no host even empty, the stash is
-    left non-empty and the mapping stays partial, which the caller rejects.
+    Each iteration first tries a direct Best Fit placement of the stash's
+    largest VM v; the cluster is Ample exactly when one exists.  Only when v
+    fits no host does ``classify`` tell Balanced from Lopsided.  Direct
+    placements are free; Balanced/Lopsided placements consume Force Steps up
+    to the budget ``params.force_step_limit``.  The budget is an upper bound
+    on the work done: an attempt that revisits a loop state can only go
+    round the same cycle until the budget runs out, so it ends at once with
+    the report that running out the budget would have given.  On budget
+    exhaustion, or when some VM fits no host even empty, the stash is left
+    non-empty and the mapping stays partial, which the caller rejects.
+
+    ``room(v)``, when given, lists in ascending order a subset of ``hosts``
+    that holds every host of ``hosts`` v fits, as ``ReleaseEngine.room``
+    does; Best Fit scans it instead of ``hosts`` until the first Force Step.
+    A Force Step can lower a host's load by its evictions, after which a
+    host may fit v that the room list left out, so from then on Best Fit
+    scans ``hosts``.
     """
     limit = params.force_step_limit
     steps = 0
@@ -425,13 +444,13 @@ def force_fit(
                 period = []
                 power = max(2 * power, 1)
         v = stash.peek()
-        cls = classify(stash, hosts, mu, v, params.alpha)
+        dest = best_fit(v, room(v) if room is not None and not steps else hosts, mu)
+        cls = ClusterClass.AMPLE if dest is not None else classify(stash, hosts, mu, v, params.alpha)
         counts[cls.value] += 1
         if snap_state is not None:
             period.append(cls)
-        if cls is ClusterClass.AMPLE:
+        if dest is not None:
             stash.pop()
-            dest = best_fit(v, hosts, mu)
             if trace is not None:
                 trace({"event": "place", "class": cls.value, "vm": v, "host": dest})
             continue
@@ -475,6 +494,12 @@ class ReleaseEngine:
     rolled back to where the attempt began.  An attempt on a non-empty host
     whose ``lower_bound`` exceeds the best objective is skipped before the
     mapping is touched.
+
+    The engine keeps the active hosts in ascending order (``active``; see
+    ``lower_bound`` for why dropping each released host keeps it exact) and,
+    for every VM demand ``(cpu, mem)`` asked about so far, its room list
+    (``rooms``): the active hosts that fit the demand in the committed
+    mapping.  ``room(v)`` serves the placements of an attempt from it.
     """
 
     def __init__(self, inst: Instance, weights: ObjectiveWeights, trace: TraceSink = None) -> None:
@@ -498,10 +523,61 @@ class ReleaseEngine:
         self.init_mem = [0] * len(cap_c)
         for v, g in enumerate(inst._initial):
             self.init_mem[g] += vm_mem[v]
-        active = self.mu.active_hosts()
+        self.active = active = self.mu.active_hosts()
         self.cap_active_c = sum(cap_c[g] for g in active)
         self.cap_active_m = sum(cap_m[g] for g in active)
         self.lost_mem = 0
+        self.rooms: dict[tuple[int, int], list[int]] = {}
+        self.releasing: int | None = None  # the host of the current attempt
+
+    def room(self, v: int) -> list[int]:
+        """The hosts of the current attempt, ascending, that VM v may fit
+        before the attempt's first Force Step; read-only.
+
+        This is the room list of v's demand without the released host h.
+        Until the first Force Step, loads change only by unassigning h's VMs
+        and by direct placements, which only raise loads.  So a host other
+        than h that fits v now fitted v's demand at the last commit, and the
+        list holds every host of the attempt that fits v.  A Force Step's
+        evictions can lower a load, so the list no longer serves after one.
+
+        A list is built at its first query, from the loads as of ``begin()``
+        (``Mapping.committed_loads``), so that it stays valid after a
+        rollback; a commit updates the lists for the hosts it changed.
+        """
+        inst = self.mu.inst
+        key = (inst._vm_cpu[v], inst._vm_mem[v])
+        room = self.rooms.get(key)
+        if room is None:
+            room = self.rooms[key] = self._fitting(key, self.active)
+        h = self.releasing
+        if h in room:
+            room = room.copy()
+            room.remove(h)
+        return room
+
+    def _fitting(self, key: tuple[int, int], hosts: list[int]) -> list[int]:
+        # the hosts that fit the demand key in the committed mapping
+        c, m = key
+        inst = self.mu.inst
+        cap_c, cap_m = inst._cap_cpu, inst._cap_mem
+        load_c, load_m = self.mu.committed_loads()
+        return [g for g in hosts if cap_c[g] - load_c[g] >= c and cap_m[g] - load_m[g] >= m]
+
+    def _commit(self) -> None:
+        # keep the attempt and bring the built room lists up to date for the
+        # hosts whose load changed; a released host is empty and drops out
+        mu = self.mu
+        moved = mu.moved_hosts() if self.rooms else ()
+        mu.commit()
+        if not moved:
+            return
+        refit = sorted(g for g in moved if mu._members[g])
+        rooms = self.rooms
+        for key, room in rooms.items():
+            kept = [g for g in room if g not in moved]
+            added = self._fitting(key, refit)
+            rooms[key] = sorted(kept + added) if added else kept
 
     def lower_bound(self, h: int) -> object:
         """A lower bound on the objective of any mapping that releasing the
@@ -529,7 +605,8 @@ class ReleaseEngine:
         a Force Step leaves its destination non-empty, so no host other than
         the released one empties and none becomes active.  An accepted
         release of a non-empty host h thus shrinks the active set by exactly
-        h; ``attempt`` subtracts h's capacities and adds ``init_mem[h]``.
+        h; ``attempt`` drops h from ``active``, subtracts h's capacities and
+        adds ``init_mem[h]``.
         """
         inst = self.mu.inst
         if (
@@ -550,19 +627,24 @@ class ReleaseEngine:
             outcome = SKIPPED
         else:
             mu.begin()
+            self.releasing = h
             stashed = mu.vms_on(h)
+            hosts = self.active.copy()
+            if stashed:
+                hosts.remove(h)
             for v in stashed:
                 mu.unassign(v)
             if trace is not None:
                 trace({"event": "release_attempt", "host": h, "stash": list(stashed)})
-            result = place(stashed, mu.active_hosts(), mu)
+            result = place(stashed, hosts, mu)
             steps, counts = result.force_steps, result.class_counts
             self.force_steps += steps
             outcome = self._judge(result)
             if outcome == ACCEPTED:
-                mu.commit()
+                self._commit()
                 released = bool(stashed)
                 if released:
+                    self.active.remove(h)
                     inst = mu.inst
                     self.cap_active_c -= inst._cap_cpu[h]
                     self.cap_active_m -= inst._cap_mem[h]
@@ -635,7 +717,7 @@ def balcon(
     mu0 = engine.mu0
 
     def place(stashed: tuple[int, ...], hosts: list[int], mu: Mapping) -> ForceFitResult:
-        return force_fit(Stash(inst, stashed), hosts, mu, params, trace)
+        return force_fit(Stash(inst, stashed), hosts, mu, params, trace, engine.room)
 
     for h in sorted(range(len(inst.hosts)), key=lambda h: (host_migration_cost(h, mu0, mu0), h)):
         engine.attempt(h, place)

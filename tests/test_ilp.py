@@ -101,6 +101,10 @@ BAD_LP = {
     "dangling coefficient": ("Minimize\n obj: x + 3\nSubject To\n c1: x >= 1\nEnd\n", 2, "obj: x + 3"),
     "bad rhs": ("Minimize\n obj: x\nSubject To\n c1: x >= one\nEnd\n", 4, "c1: x >= one"),
     "stray text": ("Minimize\n obj: x\nSubject To\n c1: 2 * x >= 1\nEnd\n", 4, "c1: 2 * x >= 1"),
+    "infinite coefficient": ("Minimize\n obj: x\nSubject To\n c1: 1e999 x >= 2\nEnd\n", 4, "c1: 1e999 x >= 2"),
+    "infinite rhs": ("Minimize\n obj: x\nSubject To\n c1: x >= inf\nEnd\n", 4, "c1: x >= inf"),
+    "infinite objective term": ("Minimize\n obj: 1e999 x\nSubject To\n c1: x >= 1\nEnd\n", 2, "obj: 1e999 x"),
+    "nan bound": ("Minimize\n obj: x\nSubject To\n c1: x >= 1\nBounds\n x <= nan\nEnd\n", 6, "x <= nan"),
 }
 
 
@@ -110,6 +114,14 @@ class TestParseLp:
         text, lineno, line = BAD_LP[case]
         with pytest.raises(LpFormatError, match=f"line {lineno}: .*{re.escape(repr(line))}"):
             parse_lp(text)
+
+    def test_free_and_infinite_bounds_stay_legal(self):
+        model = parse_lp(
+            "Minimize\n obj: x + y + z\nSubject To\n c1: x + y + z >= 1\n"
+            "Bounds\n x free\n -inf <= y <= inf\n z >= -inf\nEnd\n"
+        )
+        assert model.lower == {"x": -math.inf, "y": -math.inf, "z": -math.inf}
+        assert model.upper == {"y": math.inf}
 
 
 class TestSolveLpCommand:

@@ -295,6 +295,30 @@ class TestJournal:
         assert mu.caches_consistent()
 
     @given(st.integers(0, 2**32), OPS, OPS)
+    def test_moved_hosts_cover_every_load_change(self, seed, before_ops, ops):
+        mu = random_instance(random.Random(seed)).initial_mapping()
+        _apply(mu, before_ops)
+        before = mu.copy()
+        assert mu.committed_loads() == (mu._load_c, mu._load_m)
+        mu.begin()
+        _apply(mu, ops)
+        assert mu.committed_loads() == (before._load_c, before._load_m)
+        moved = mu.moved_hosts()
+        assert moved == {
+            g
+            for v in range(len(mu.inst.vms))
+            if mu.host_of(v) != before.host_of(v)
+            for g in (mu.host_of(v), before.host_of(v))
+            if g is not None
+        }
+        for g in range(len(mu.inst.hosts)):
+            if g not in moved:
+                assert mu.load_parts(g) == before.load_parts(g)
+        mu.commit()
+        with pytest.raises(RuntimeError):
+            mu.moved_hosts()
+
+    @given(st.integers(0, 2**32), OPS, OPS)
     def test_commit_keeps_the_changes(self, seed, before_ops, ops):
         mu = random_instance(random.Random(seed)).initial_mapping()
         _apply(mu, before_ops)

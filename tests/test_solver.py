@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from balcon import (
     migrated_memory,
     objective,
 )
-from balcon.sercon import sercon_modified
+from balcon.sercon import sercon_modified, sercon_original
 from balcon.solver import ReleaseEngine
 
 from conftest import A, B, GREEN, RED, YELLOW, random_instance
@@ -577,6 +578,97 @@ class TestLowerBound:
         attempt = engine.attempt(RED, lambda *args: pytest.fail("placed a skipped release"))
         assert (attempt.outcome, attempt.force_steps, attempt.class_counts) == ("skipped", 0, {})
         assert engine.mu.assignment == fig2.initial_mapping().assignment
+
+
+ALGORITHMS = {"balcon": balcon, "sercon-mod": sercon_modified, "sercon-orig": sercon_original}
+
+
+def _fitting(mu: Mapping, hosts, cpu: int, mem: int) -> list[int]:
+    return [g for g in hosts if cpu <= mu.free(g).cpu and mem <= mu.free(g).mem]
+
+
+def _run_room_checked(inst: Instance, mph, algo: str) -> Counter:
+    """Run one algorithm with the engine's active list and room lists
+    checked after every attempt, and every room list it hands out checked
+    against the hosts of the attempt; returns how often each check ran."""
+    ran = Counter()
+    real_attempt, real_room = ReleaseEngine.attempt, ReleaseEngine.room
+
+    def attempt(engine, h, place):
+        out = real_attempt(engine, h, place)
+        mu = engine.mu
+        assert engine.active == mu.active_hosts()
+        for (cpu, mem), room in engine.rooms.items():
+            assert room == _fitting(mu, engine.active, cpu, mem), (cpu, mem)
+        ran["accepted with rooms"] += out.released and bool(engine.rooms)
+        return out
+
+    def room(engine, v):
+        # the attempt's hosts: the committed active hosts without the
+        # released one, which is empty now
+        cands = real_room(engine, v)
+        mu = engine.mu
+        hosts = [g for g in engine.active if g != engine.releasing]
+        assert cands == sorted(set(cands)) and set(cands) <= set(hosts)
+        assert set(_fitting(mu, hosts, inst.vm_cpu(v), inst.vm_mem(v))) <= set(cands)
+        ran["room"] += 1
+        return cands
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ReleaseEngine, "attempt", attempt)
+        mp.setattr(ReleaseEngine, "room", room)
+        ALGORITHMS[algo](inst, params_for(mph))
+    return ran
+
+
+ROOM_MPHS = st.sampled_from([0, 10, math.inf])
+
+
+class TestRoomLists:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32), ROOM_MPHS, st.sampled_from(sorted(ALGORITHMS)))
+    def test_exact_on_random_instances(self, seed, mph, algo):
+        _run_room_checked(random_instance(random.Random(seed)), mph, algo)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**16),
+        st.integers(2, 8),
+        st.sampled_from(["lopsided", "uniform"]),
+        ROOM_MPHS,
+        st.sampled_from(sorted(ALGORITHMS)),
+    )
+    def test_exact_on_generated_instances(self, seed, hosts, mode, mph, algo):
+        inst = generate_instance(GenConfig(seed=seed, num_hosts=hosts, mode=mode))
+        _run_room_checked(inst, mph, algo)
+
+    @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+    def test_checks_are_exercised(self, algo):
+        # the checks above see room lists handed out and updated on commit
+        ran = Counter()
+        for seed in range(3):
+            inst = generate_instance(
+                GenConfig(seed=seed, num_hosts=20, mode="lopsided", target_fill=0.6)
+            )
+            ran += _run_room_checked(inst, math.inf, algo)
+        assert ran["room"] > 0 and ran["accepted with rooms"] > 0, ran
+
+    def test_room_lists_serve_only_until_the_first_force_step(self, fig2):
+        # releasing host2: b fits nowhere and takes a Force Step into host1,
+        # after which a and yellow are placed by scanning the hosts
+        asked = []
+
+        def room(v):
+            asked.append(v)
+            return [0, 1]
+
+        mu = fig2.initial_mapping()
+        for v in (B, YELLOW):
+            mu.unassign(v)
+        result = force_fit(Stash(fig2, [B, YELLOW]), [0, 1], mu, INF_PARAMS, room=room)
+        assert (result.completed, result.force_steps) == (True, 1)
+        assert mu.assignment == (0, 0, 1, 1, 0)
+        assert asked == [B]
 
 
 def test_solver_params_validation():
