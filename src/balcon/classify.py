@@ -28,6 +28,7 @@ __all__ = [
     "potential_capacity",
     "balance_factor",
     "classify",
+    "split_class",
 ]
 
 DEFAULT_ALPHA = Fraction(19, 20)
@@ -149,6 +150,29 @@ def balance_factor(s, hosts: Sequence[int], mu: Mapping) -> Fraction:
     return capacity(s, hosts, mu) / pcap
 
 
+def split_class(
+    cap_num: int, sum_c: int, sum_m: int, s_cpu: int, s_mem: int, alpha: Fraction
+) -> ClusterClass:
+    """Balanced or Lopsided from the free-space sums over a host set, for a
+    stash of total demand s = (s_cpu, s_mem) with both totals positive.
+
+    ``cap_num = sum_h min(fc_h * s_mem, fm_h * s_cpu)`` and ``sum_c``,
+    ``sum_m`` are the summed free cpu and mem.  cap and pcap share the
+    denominator s_cpu * s_mem, so ``cap = cap_num / (s_cpu * s_mem)`` and
+    ``pcap = min(sum_c * s_mem, sum_m * s_cpu) / (s_cpu * s_mem)``, and the
+    Lopsided tests cap < 1 and cap < alpha * pcap reduce to integer
+    comparisons.  ``classify`` computes the sums by a scan of the hosts,
+    ``solver.ReleaseEngine.classify`` from its free-space angle index; both
+    decide here, so the rule is written once.
+    """
+    if cap_num < s_cpu * s_mem:
+        return ClusterClass.LOPSIDED
+    pcap_num = min(sum_c * s_mem, sum_m * s_cpu)
+    if cap_num * alpha.denominator < alpha.numerator * pcap_num:
+        return ClusterClass.LOPSIDED
+    return ClusterClass.BALANCED
+
+
 def classify(
     stash: Stash,
     hosts: Sequence[int],
@@ -172,8 +196,6 @@ def classify(
     s_cpu = stash.cpu_total
     s_mem = stash.mem_total
     if s_cpu > 0 and s_mem > 0:
-        # cap and pcap share the denominator s_cpu * s_mem, so the two
-        # Lopsided tests reduce to integer comparisons.
         cap_num = 0
         sum_c = 0
         sum_m = 0
@@ -187,13 +209,7 @@ def classify(
             cap_num += by_c if by_c < by_m else by_m
             sum_c += fc
             sum_m += fm
-        den = s_cpu * s_mem
-        pcap_num = min(sum_c * s_mem, sum_m * s_cpu)
-        if cap_num < den:
-            return ClusterClass.LOPSIDED
-        if cap_num * alpha.denominator < alpha.numerator * pcap_num:
-            return ClusterClass.LOPSIDED
-        return ClusterClass.BALANCED
+        return split_class(cap_num, sum_c, sum_m, s_cpu, s_mem, alpha)
     for h in hosts:
         if vc <= cap_c[h] - load_c[h] and vm <= cap_m[h] - load_m[h]:
             return ClusterClass.AMPLE

@@ -269,6 +269,18 @@ def _algo_list(text: str) -> list[str]:
     return names
 
 
+def _run_all(worker, payloads: list, jobs: int) -> list:
+    """``worker`` over ``payloads`` in order, on at most ``jobs`` processes;
+    a pool never has more workers than payloads."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
+    workers = min(jobs, len(payloads))
+    if workers <= 1:
+        return [worker(p) for p in payloads]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, payloads))
+
+
 def _eval_worker(payload):
     path, algorithms, params, lb_text = payload
     inst = load_instance(path)
@@ -290,11 +302,7 @@ def cmd_eval(args) -> int:
             if lb_path.exists():
                 lb_text = lb_path.read_text()
         payloads.append((path, args.algos, params, lb_text))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            per_instance = list(pool.map(_eval_worker, payloads))
-    else:
-        per_instance = [_eval_worker(p) for p in payloads]
+    per_instance = _run_all(_eval_worker, payloads, args.jobs)
     records = [r for batch in per_instance for r in batch]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -325,11 +333,7 @@ def cmd_sweep(args) -> int:
     params = _solver_params(args)
     grid = [parse_mph(v) for v in args.grid.split(",") if v.strip()]
     payloads = [(inst, args.algos, mph, params) for mph in grid]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            batches = list(pool.map(_sweep_worker, payloads))
-    else:
-        batches = [_sweep_worker(p) for p in payloads]
+    batches = _run_all(_sweep_worker, payloads, args.jobs)
     points = [p for batch in batches for p in batch]
     write_sweep_csv(points, args.output)
     print(json.dumps({"points": len(points), "file": args.output}), file=sys.stderr)

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import cycle
+from itertools import accumulate, cycle
 from typing import Callable, Optional, Sequence
 
-from .classify import DEFAULT_ALPHA, ClusterClass, Stash, classify
+from .classify import DEFAULT_ALPHA, ClusterClass, Stash, classify, split_class
 from .model import (
     Instance,
     Mapping,
@@ -36,6 +37,7 @@ __all__ = [
     "RunReport",
     "ForceFitResult",
     "ReleaseEngine",
+    "free_ratio_key",
     "balcon",
     "force_fit",
     "best_fit",
@@ -396,7 +398,7 @@ def force_fit(
     mu: Mapping,
     params: SolverParams,
     trace: TraceSink = None,
-    room: Callable[[int], Sequence[int]] | None = None,
+    engine: ReleaseEngine | None = None,
 ) -> ForceFitResult:
     """Drain the stash into ``hosts``, mutating ``mu``.
 
@@ -411,12 +413,24 @@ def force_fit(
     exhaustion, or when some VM fits no host even empty, the stash is left
     non-empty and the mapping stays partial, which the caller rejects.
 
-    ``room(v)``, when given, lists in ascending order a subset of ``hosts``
-    that holds every host of ``hosts`` v fits, as ``ReleaseEngine.room``
-    does; Best Fit scans it instead of ``hosts`` until the first Force Step.
-    A Force Step can lower a host's load by its evictions, after which a
-    host may fit v that the room list left out, so from then on Best Fit
-    scans ``hosts``.
+    ``engine``, when given, is the ``ReleaseEngine`` whose attempt this is,
+    and ``hosts`` are that attempt's hosts.  Until the first Force Step the
+    engine serves two scans:
+
+    - Best Fit scans ``engine.room(v)``, the attempt's hosts v may fit,
+      instead of ``hosts``;
+    - when v fits none of them and both stash totals are positive,
+      ``engine.classify`` tells Balanced from Lopsided from its free-space
+      angle index instead of ``classify``'s scan of ``hosts``.  It skips the
+      Ample test, which is sound because Best Fit has just found no host in
+      a superset of the hosts that fit v.
+
+    Both rest on loads having changed only on the hosts the attempt moved
+    VMs to or from.  A Force Step can lower a host's load by its evictions,
+    after which a host may fit v that the room list left out, and every
+    eviction adds a host the index must correct for, so from then on Best
+    Fit scans ``hosts`` and ``classify`` scans them too, as it also does for
+    a single-resource stash.  Without an engine both always scan ``hosts``.
     """
     limit = params.force_step_limit
     steps = 0
@@ -444,8 +458,14 @@ def force_fit(
                 period = []
                 power = max(2 * power, 1)
         v = stash.peek()
-        dest = best_fit(v, room(v) if room is not None and not steps else hosts, mu)
-        cls = ClusterClass.AMPLE if dest is not None else classify(stash, hosts, mu, v, params.alpha)
+        fresh = engine is not None and not steps
+        dest = best_fit(v, engine.room(v) if fresh else hosts, mu)
+        if dest is not None:
+            cls = ClusterClass.AMPLE
+        elif fresh and stash.cpu_total > 0 and stash.mem_total > 0:
+            cls = engine.classify(stash, params.alpha)
+        else:
+            cls = classify(stash, hosts, mu, v, params.alpha)
         counts[cls.value] += 1
         if snap_state is not None:
             period.append(cls)
@@ -500,12 +520,20 @@ class ReleaseEngine:
     for every VM demand ``(cpu, mem)`` asked about so far, its room list
     (``rooms``): the active hosts that fit the demand in the committed
     mapping.  ``room(v)`` serves the placements of an attempt from it.
+
+    It also keeps a free-space angle index over ``active`` (``angles``: the
+    committed free space sorted by fc / fm, with prefix sums), from which
+    ``classify`` tells Balanced from Lopsided for a failed placement in
+    O(log H + moved hosts) instead of a scan of every host; ``free_sums``
+    states the decomposition and why it is exact.  ``force_fit`` asks it only
+    before an attempt's first Force Step, so for ``sercon-mod``, which takes
+    none, it serves every classification.
     """
 
     def __init__(self, inst: Instance, weights: ObjectiveWeights, trace: TraceSink = None) -> None:
         self.start = time.perf_counter()
         self.mu0 = inst.initial_mapping()
-        self.mu = inst.initial_mapping()
+        self.mu = self.mu0.copy()
         self.weights = weights
         self.trace = trace
         self.best_obj = objective(self.mu, self.mu0, weights)
@@ -528,6 +556,8 @@ class ReleaseEngine:
         self.cap_active_m = sum(cap_m[g] for g in active)
         self.lost_mem = 0
         self.rooms: dict[tuple[int, int], list[int]] = {}
+        self.angles: tuple[list[int], list[int], list[int], list[int]] | None = None
+        self.angle_key = free_ratio_key(max(cap_m, default=0), max(cap_c, default=0))
         self.releasing: int | None = None  # the host of the current attempt
 
     def room(self, v: int) -> list[int]:
@@ -564,14 +594,87 @@ class ReleaseEngine:
         load_c, load_m = self.mu.committed_loads()
         return [g for g in hosts if cap_c[g] - load_c[g] >= c and cap_m[g] - load_m[g] >= m]
 
-    def _commit(self) -> None:
-        # keep the attempt and bring the built room lists up to date for the
-        # hosts whose load changed; a released host is empty and drops out
+    def classify(self, stash: Stash, alpha: Fraction) -> ClusterClass:
+        """Balanced or Lopsided for the stash of the current attempt, whose
+        largest VM fits none of the attempt's hosts; before the attempt's
+        first Force Step only, and for positive stash totals."""
+        s_cpu, s_mem = stash.cpu_total, stash.mem_total
+        return split_class(*self.free_sums(s_cpu, s_mem), s_cpu, s_mem, alpha)
+
+    def free_sums(self, s_cpu: int, s_mem: int) -> tuple[int, int, int]:
+        """``(cap_num, sum_c, sum_m)`` of ``classify.split_class`` over the
+        hosts of the current attempt at their current loads, for s_cpu,
+        s_mem > 0, in O(log H + moved hosts) instead of a scan of H hosts.
+
+        With S = (s_cpu, s_mem), ``cap_num = sum_g min(fc_g * s_mem, fm_g *
+        s_cpu)``.  In the hosts sorted by free-space ratio fc / fm (fm = 0
+        last), ``fc * s_mem < fm * s_cpu`` holds exactly on a prefix, the
+        hosts whose ratio is below s_cpu / s_mem, so with PC and PM the
+        prefix sums of fc and fm and k the prefix length (a binary search by
+        integer cross-multiplication)
+
+            cap_num = s_mem * PC[k] + s_cpu * (PM[n] - PM[k]),
+            sum_c = PC[n],  sum_m = PM[n].
+
+        The index (``angles``: fc and fm in that order, PC and PM) covers
+        ``active`` at the committed loads.  It is built at its first query
+        from ``Mapping.committed_loads``, survives a rollback, which restores
+        those loads, and is dropped by a commit that moved a VM.  The
+        attempt's hosts are ``active`` without the released host h, and
+        outside ``mu.moved_hosts() | {h}`` every current free space equals
+        the committed one.  So the sums over the index, minus the committed
+        term, fc and fm of each host of that set, plus the current ones of
+        each such host but h, are exactly the sums over the attempt's hosts.
+        """
+        if self.angles is None:
+            self._build_angles()
+        fcs, fms, pc, pm = self.angles
+        k = bisect_left(range(len(fcs)), True, key=lambda i: fcs[i] * s_mem >= fms[i] * s_cpu)
+        sum_c, sum_m = pc[-1], pm[-1]
+        cap_num = s_mem * pc[k] + s_cpu * (sum_m - pm[k])
         mu = self.mu
-        moved = mu.moved_hosts() if self.rooms else ()
+        inst = mu.inst
+        cap_c, cap_m = inst._cap_cpu, inst._cap_mem
+        old_c, old_m = mu.committed_loads()
+        load_c, load_m = mu._load_c, mu._load_m
+        h = self.releasing
+        moved = mu.moved_hosts()
+        moved.add(h)
+        for g in moved:
+            fc, fm = cap_c[g] - old_c[g], cap_m[g] - old_m[g]
+            by_c, by_m = fc * s_mem, fm * s_cpu
+            cap_num -= by_c if by_c < by_m else by_m
+            sum_c -= fc
+            sum_m -= fm
+            if g != h:
+                fc, fm = cap_c[g] - load_c[g], cap_m[g] - load_m[g]
+                by_c, by_m = fc * s_mem, fm * s_cpu
+                cap_num += by_c if by_c < by_m else by_m
+                sum_c += fc
+                sum_m += fm
+        return cap_num, sum_c, sum_m
+
+    def _build_angles(self) -> None:
+        # the committed free space of the active hosts, sorted by fc / fm
+        inst = self.mu.inst
+        cap_c, cap_m = inst._cap_cpu, inst._cap_mem
+        load_c, load_m = self.mu.committed_loads()
+        free = [(cap_c[g] - load_c[g], cap_m[g] - load_m[g]) for g in self.active]
+        free.sort(key=self.angle_key)
+        fcs = [fc for fc, _ in free]
+        fms = [fm for _, fm in free]
+        self.angles = (fcs, fms, [0, *accumulate(fcs)], [0, *accumulate(fms)])
+
+    def _commit(self) -> None:
+        # keep the attempt, drop the angle index and bring the built room
+        # lists up to date for the hosts whose load changed; a released host
+        # is empty and drops out
+        mu = self.mu
+        moved = mu.moved_hosts() if self.rooms or self.angles else ()
         mu.commit()
         if not moved:
             return
+        self.angles = None
         refit = sorted(g for g in moved if mu._members[g])
         rooms = self.rooms
         for key, room in rooms.items():
@@ -701,6 +804,23 @@ class ReleaseEngine:
         )
 
 
+def free_ratio_key(max_mem: int, max_cpu: int) -> Callable[[tuple[int, int]], int]:
+    """An exact integer sort key for free space ``(fc, fm)`` by the ratio
+    fc / fm, with fm = 0 last, for 0 <= fc <= max_cpu and 0 <= fm <= max_mem.
+
+    The key is ``fc * D // fm`` with D = M * M and M = max(max_mem, 1), and
+    ``(max_cpu + 1) * D`` when fm = 0, which is above every other key since
+    ``fc * D // fm <= max_cpu * D``.  Equal ratios get equal keys.  Two
+    distinct ratios a/b < c/d with 1 <= b, d <= M differ by (cb - ad) / (bd)
+    >= 1 / M**2, so c * D / d >= a * D / b + 1 and the floors differ by at
+    least 1 in the same order.  So the keys order the pairs exactly as their
+    ratios do, with no ``Fraction``.
+    """
+    d = max(max_mem, 1) ** 2
+    last = (max_cpu + 1) * d
+    return lambda f: f[0] * d // f[1] if f[1] else last
+
+
 def balcon(
     inst: Instance,
     params: SolverParams,
@@ -717,7 +837,7 @@ def balcon(
     mu0 = engine.mu0
 
     def place(stashed: tuple[int, ...], hosts: list[int], mu: Mapping) -> ForceFitResult:
-        return force_fit(Stash(inst, stashed), hosts, mu, params, trace, engine.room)
+        return force_fit(Stash(inst, stashed), hosts, mu, params, trace, engine)
 
     for h in sorted(range(len(inst.hosts)), key=lambda h: (host_migration_cost(h, mu0, mu0), h)):
         engine.attempt(h, place)

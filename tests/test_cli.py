@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from balcon import instance_to_dict, load_instance
+from balcon import cli
 from balcon.cli import main, parse_mph
 
 from conftest import make_fig2
@@ -207,10 +208,13 @@ class TestEval:
         assert main(["eval", "--algos", "bogus", "--out-dir", str(tmp_path), str(fig2_path)]) == 1
 
     def test_parallel_jobs_match_serial(self, fig2_path, tmp_path):
+        # two inputs, so that --jobs 2 runs a pool of two workers
         serial, parallel = tmp_path / "s", tmp_path / "p"
-        base = ["eval", "--mph", "8", "--algos", "balcon", str(fig2_path)]
-        assert main(base[:-1] + ["--out-dir", str(serial), base[-1]]) == 0
-        assert main(base[:-1] + ["--out-dir", str(parallel), "--jobs", "2", base[-1]]) == 0
+        twin = tmp_path / "twin.json"
+        twin.write_text(fig2_path.read_text())
+        base = ["eval", "--mph", "8", "--algos", "balcon", str(fig2_path), str(twin)]
+        assert main(base[:-2] + ["--out-dir", str(serial)] + base[-2:]) == 0
+        assert main(base[:-2] + ["--out-dir", str(parallel), "--jobs", "2"] + base[-2:]) == 0
         assert (serial / "gaps.csv").read_text() == (parallel / "gaps.csv").read_text()
 
 
@@ -234,3 +238,41 @@ class TestSweep:
         main(["sweep", "--grid", "0,8", "-o", str(serial), str(fig2_path)])
         main(["sweep", "--grid", "0,8", "--jobs", "2", "-o", str(parallel), str(fig2_path)])
         assert serial.read_text() == parallel.read_text()
+
+
+class _FakePool:
+    """Stands in for ``ProcessPoolExecutor``: records its size and maps in
+    this process, so no worker is started."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, payloads):
+        return map(fn, payloads)
+
+
+class TestJobs:
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_non_positive_jobs_rejected(self, command, jobs, fig2_path, tmp_path, capsys):
+        extra = ["--out-dir", str(tmp_path)] if command == "eval" else ["--grid", "0,8"]
+        assert main([command, "--jobs", jobs, *extra, str(fig2_path)]) == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_pool_never_larger_than_the_inputs(self, fig2_path, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _FakePool)
+        monkeypatch.setattr(_FakePool, "sizes", [])
+        twin = tmp_path / "twin.json"
+        twin.write_text(fig2_path.read_text())
+        out = tmp_path / "sweep.csv"
+        assert main(["eval", "--jobs", "64", "--out-dir", str(tmp_path), str(fig2_path), str(twin)]) == 0
+        assert main(["sweep", "--jobs", "64", "--grid", "0,8", "-o", str(out), str(fig2_path)]) == 0
+        assert _FakePool.sizes == [2, 2]

@@ -33,7 +33,8 @@ from balcon import (
     objective,
 )
 from balcon.sercon import sercon_modified, sercon_original
-from balcon.solver import ReleaseEngine
+from balcon.classify import classify
+from balcon.solver import ReleaseEngine, free_ratio_key
 
 from conftest import A, B, GREEN, RED, YELLOW, random_instance
 
@@ -656,19 +657,114 @@ class TestRoomLists:
     def test_room_lists_serve_only_until_the_first_force_step(self, fig2):
         # releasing host2: b fits nowhere and takes a Force Step into host1,
         # after which a and yellow are placed by scanning the hosts
-        asked = []
+        engine = ReleaseEngine(fig2, INF_PARAMS.weights)
+        asked, results = [], []
+        real_room = engine.room
 
         def room(v):
             asked.append(v)
-            return [0, 1]
+            return real_room(v)
 
-        mu = fig2.initial_mapping()
-        for v in (B, YELLOW):
-            mu.unassign(v)
-        result = force_fit(Stash(fig2, [B, YELLOW]), [0, 1], mu, INF_PARAMS, room=room)
-        assert (result.completed, result.force_steps) == (True, 1)
-        assert mu.assignment == (0, 0, 1, 1, 0)
+        def place(stashed, hosts, mu):
+            results.append(force_fit(Stash(fig2, stashed), hosts, mu, INF_PARAMS, engine=engine))
+            return results[-1]
+
+        engine.room = room
+        assert engine.attempt(2, place).accepted
+        assert [(r.completed, r.force_steps) for r in results] == [(True, 1)]
+        assert engine.mu.assignment == (0, 0, 1, 1, 0)
         assert asked == [B]
+
+
+INDEX_ALGORITHMS = ("balcon", "sercon-mod")
+
+
+def _run_index_checked(inst: Instance, mph, algo: str) -> Counter:
+    """Run one algorithm with every answer of the engine's free-space angle
+    index checked against a full scan of the attempt's hosts: the sums
+    against a recomputation at the current loads, the class against
+    ``classify``; returns how often each check ran and on what state."""
+    ran = Counter()
+    real_classify, real_sums = ReleaseEngine.classify, ReleaseEngine.free_sums
+
+    def attempt_hosts(engine):
+        return [g for g in engine.active if g != engine.releasing]
+
+    def free_sums(engine, s_cpu, s_mem):
+        sums = real_sums(engine, s_cpu, s_mem)
+        mu, h = engine.mu, engine.releasing
+        want = [0, 0, 0]
+        for g in attempt_hosts(engine):
+            fc, fm = mu.free_parts(g)
+            want[0] += min(fc * s_mem, fm * s_cpu)
+            want[1] += fc
+            want[2] += fm
+        assert sums == tuple(want)
+        load_c, load_m = mu.committed_loads()
+        ran["sums"] += 1
+        ran["after a release"] += any(a.released for a in engine.attempts)
+        ran["moved besides h"] += bool(mu.moved_hosts() - {h})
+        ran["h had free space"] += (load_c[h], load_m[h]) != mu.inst.capacity(h).as_tuple()
+        return sums
+
+    def engine_classify(engine, stash, alpha):
+        cls = real_classify(engine, stash, alpha)
+        assert cls == classify(stash, attempt_hosts(engine), engine.mu, stash.peek(), alpha)
+        ran[cls.value] += 1
+        return cls
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ReleaseEngine, "free_sums", free_sums)
+        mp.setattr(ReleaseEngine, "classify", engine_classify)
+        ALGORITHMS[algo](inst, params_for(mph))
+    return ran
+
+
+class TestAngleIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32), ROOM_MPHS, st.sampled_from(INDEX_ALGORITHMS))
+    def test_exact_on_random_instances(self, seed, mph, algo):
+        _run_index_checked(random_instance(random.Random(seed)), mph, algo)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**16),
+        st.integers(2, 8),
+        st.sampled_from(["lopsided", "uniform"]),
+        ROOM_MPHS,
+        st.sampled_from(INDEX_ALGORITHMS),
+    )
+    def test_exact_on_generated_instances(self, seed, hosts, mode, mph, algo):
+        inst = generate_instance(GenConfig(seed=seed, num_hosts=hosts, mode=mode))
+        _run_index_checked(inst, mph, algo)
+
+    @pytest.mark.parametrize("algo", INDEX_ALGORITHMS)
+    def test_checks_are_exercised(self, algo):
+        # the checks above see the index asked after a release, with hosts
+        # other than h moved and with free space on h
+        ran = Counter()
+        for seed in range(3):
+            inst = generate_instance(
+                GenConfig(seed=seed, num_hosts=20, mode="lopsided", target_fill=0.6)
+            )
+            ran += _run_index_checked(inst, math.inf, algo)
+        for key in ("sums", "after a release", "moved besides h", "h had free space"):
+            assert ran[key] > 0, ran
+
+    def test_ratio_key_orders_like_fraction(self):
+        # every pair of free spaces (fc, fm) on a grid up to the capacities,
+        # with fm = 0 as an infinite ratio
+        max_cpu, max_mem = 9, 12
+        key = free_ratio_key(max_mem, max_cpu)
+        pairs = [(fc, fm) for fc in range(max_cpu + 1) for fm in range(max_mem + 1)]
+
+        def ratio(f):
+            return Fraction(f[0], f[1]) if f[1] else math.inf
+
+        for a in pairs:
+            for b in pairs:
+                ra, rb = ratio(a), ratio(b)
+                assert (key(a) < key(b), key(a) == key(b)) == (ra < rb, ra == rb), (a, b)
 
 
 def test_solver_params_validation():
