@@ -332,6 +332,8 @@ def cmd_sweep(args) -> int:
     inst = load_instance(args.instance)
     params = _solver_params(args)
     grid = [parse_mph(v) for v in args.grid.split(",") if v.strip()]
+    if not grid:
+        raise ValueError(f"--grid: expected at least one mph value, got {args.grid!r}")
     payloads = [(inst, args.algos, mph, params) for mph in grid]
     batches = _run_all(_sweep_worker, payloads, args.jobs)
     points = [p for batch in batches for p in batch]
@@ -350,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=sorted(ALGORITHMS), default="balcon")
     _add_solver_flags(p)
     p.add_argument("--max-migrations", type=int, default=None,
-                   help="sercon-orig: total migration budget")
+                   help="total migration budget; --algo sercon-orig only")
     p.add_argument("-o", "--output", default=None, help="result mapping JSON (default stdout)")
     p.add_argument("--report", default=None, help="write the full run report JSON here")
     p.add_argument("-v", "--verbose", action="store_true", help="per-step trace on stderr")
@@ -415,6 +417,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "max_migrations", None) is not None and args.algo != "sercon-orig":
+            parser.error(f"--max-migrations applies only to --algo sercon-orig, not {args.algo}")
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 1

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import compress
 from operator import le, ne
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "ResourceVec",
@@ -297,14 +297,15 @@ class Mapping:
     A mapping is feasible iff it is total and every host load stays within
     capacity in both dimensions.
 
-    A tentative change is an attempt: ``begin()`` opens an undo journal,
-    ``rollback()`` restores the mapping as it was at ``begin()`` and
-    ``commit()`` keeps the change.  Attempts do not nest, and ``rollback()``
-    replaces the assignment and load lists, so no caller may hold
-    ``_host_of``, ``_load_c`` or ``_load_m`` across an attempt.
+    A tentative change is an attempt: ``begin()`` opens an empty first-touch
+    map ``{vm: host at first touch}``, to which ``assign``/``unassign`` add a
+    VM only the first time they touch it; ``rollback()`` moves each touched
+    VM back in place and ``commit()`` keeps the change.  Opening, undoing and
+    inspecting an attempt thus costs what the attempt touched, at most |V|
+    entries however often it moved a VM.  Attempts do not nest.
     """
 
-    __slots__ = ("inst", "_host_of", "_load_c", "_load_m", "_members", "_journal", "_snapshot")
+    __slots__ = ("inst", "_host_of", "_load_c", "_load_m", "_members", "_first")
 
     def __init__(self, inst: Instance, assignment: Sequence[int | None]) -> None:
         n_hosts = len(inst.hosts)
@@ -323,8 +324,7 @@ class Mapping:
             self._load_c[h] += inst.vm_cpu(v)
             self._load_m[h] += inst.vm_mem(v)
             self._members[h].add(v)
-        self._journal: list[int] | None = None
-        self._snapshot = None
+        self._first: dict[int, int | None] | None = None
 
     def copy(self) -> "Mapping":
         """An independent copy of the assignment, outside any attempt."""
@@ -334,68 +334,81 @@ class Mapping:
         dup._load_c = self._load_c.copy()
         dup._load_m = self._load_m.copy()
         dup._members = [s.copy() for s in self._members]
-        dup._journal = dup._snapshot = None
+        dup._first = None
         return dup
 
     def begin(self) -> None:
         """Open an attempt: later changes can be undone by ``rollback()``."""
-        if self._journal is not None:
+        if self._first is not None:
             raise RuntimeError("an attempt is already open on this mapping")
-        self._snapshot = (self._host_of.copy(), self._load_c.copy(), self._load_m.copy())
-        self._journal = []  # every VM assigned or unassigned since begin()
+        self._first = {}
 
     def commit(self) -> None:
         """Close the open attempt and keep its changes."""
-        if self._journal is None:
+        if self._first is None:
             raise RuntimeError("no attempt is open on this mapping")
-        self._journal = self._snapshot = None
+        self._first = None
 
     def rollback(self) -> None:
-        """Close the open attempt and restore the mapping as of ``begin()``."""
-        touched = self._touched()
-        host_of, load_c, load_m = self._snapshot
-        now = self._host_of
-        members = self._members
-        for v in touched:
-            old, new = host_of[v], now[v]
-            if old != new:
-                if new is not None:
-                    members[new].discard(v)
-                if old is not None:
-                    members[old].add(v)
-        self._host_of, self._load_c, self._load_m = host_of, load_c, load_m
-        self._journal = self._snapshot = None
+        """Close the open attempt and move every VM it touched back to its
+        host as of ``begin()``, with its loads and member sets."""
+        host_of, load_c, load_m, members = self._host_of, self._load_c, self._load_m, self._members
+        cpu, mem = self.inst._vm_cpu, self.inst._vm_mem
+        for v, old in self.touched().items():
+            new = host_of[v]
+            if new == old:
+                continue
+            if new is not None:
+                load_c[new] -= cpu[v]
+                load_m[new] -= mem[v]
+                members[new].discard(v)
+            if old is not None:
+                load_c[old] += cpu[v]
+                load_m[old] += mem[v]
+                members[old].add(v)
+            host_of[v] = old
+        self._first = None
 
-    def _touched(self) -> Iterable[int]:
-        # the VMs the open attempt may have moved
-        touched = self._journal
-        if touched is None:
+    def touched(self) -> dict[int, int | None]:
+        """The open attempt's first-touch map: each VM assigned or unassigned
+        since ``begin()``, with its host at that time.  Read-only."""
+        first = self._first
+        if first is None:
             raise RuntimeError("no attempt is open on this mapping")
-        if len(touched) > len(self._host_of):
-            # a long attempt touched VMs many times over: compare every VM
-            return compress(range(len(self._host_of)), map(ne, self._snapshot[0], self._host_of))
-        return touched
+        return first
 
-    def moved_hosts(self) -> set[int]:
-        """The hosts that gained or lost a VM in the open attempt; the load of
-        every other host equals its ``committed_loads()`` entry."""
-        touched = self._touched()
-        host_of, now = self._snapshot[0], self._host_of
-        hosts = set()
-        for v in touched:
-            old, new = host_of[v], now[v]
-            if old != new:
-                hosts.add(old)
-                hosts.add(new)
-        hosts.discard(None)
-        return hosts
+    def moved_hosts(self) -> dict[int, tuple[int, int]]:
+        """The hosts that gained or lost a VM in the open attempt, each with
+        its cpu and mem load as of ``begin()``; the load of every other host
+        equals its ``committed_loads()`` entry."""
+        host_of = self._host_of
+        cpu, mem = self.inst._vm_cpu, self.inst._vm_mem
+        delta: dict[int, list[int]] = {}
+        for v, old in self.touched().items():
+            new = host_of[v]
+            if new == old:
+                continue
+            # committed load = current load - what arrived + what left
+            if new is not None:
+                d = delta.setdefault(new, [0, 0])
+                d[0] -= cpu[v]
+                d[1] -= mem[v]
+            if old is not None:
+                d = delta.setdefault(old, [0, 0])
+                d[0] += cpu[v]
+                d[1] += mem[v]
+        load_c, load_m = self._load_c, self._load_m
+        return {g: (load_c[g] + dc, load_m[g] + dm) for g, (dc, dm) in delta.items()}
 
     def committed_loads(self) -> tuple[list[int], list[int]]:
         """The cpu and mem load lists as of ``begin()`` while an attempt is
-        open, else the current ones.  Read-only."""
-        if self._snapshot is None:
+        open, built in O(H + touched VMs); else the current ones, read-only."""
+        if self._first is None:
             return self._load_c, self._load_m
-        return self._snapshot[1], self._snapshot[2]
+        load_c, load_m = self._load_c.copy(), self._load_m.copy()
+        for g, (lc, lm) in self.moved_hosts().items():
+            load_c[g], load_m[g] = lc, lm
+        return load_c, load_m
 
     @property
     def assignment(self) -> tuple[int | None, ...]:
@@ -407,27 +420,27 @@ class Mapping:
     def assign(self, v: int, h: int) -> None:
         if self._host_of[v] is not None:
             raise ValueError(f"vm {v} is already assigned")
+        first = self._first
+        if first is not None and v not in first:
+            first[v] = None
         self._host_of[v] = h
         inst = self.inst
         self._load_c[h] += inst._vm_cpu[v]
         self._load_m[h] += inst._vm_mem[v]
         self._members[h].add(v)
-        journal = self._journal
-        if journal is not None:
-            journal.append(v)
 
     def unassign(self, v: int) -> int:
         h = self._host_of[v]
         if h is None:
             raise ValueError(f"vm {v} is not assigned")
+        first = self._first
+        if first is not None and v not in first:
+            first[v] = h
         self._host_of[v] = None
         inst = self.inst
         self._load_c[h] -= inst._vm_cpu[v]
         self._load_m[h] -= inst._vm_mem[v]
         self._members[h].discard(v)
-        journal = self._journal
-        if journal is not None:
-            journal.append(v)
         return h
 
     def load(self, h: int) -> ResourceVec:
@@ -465,9 +478,6 @@ class Mapping:
 
     def active_count(self) -> int:
         return sum(map(bool, self._members))
-
-    def unassigned_vms(self) -> list[int]:
-        return [v for v, h in enumerate(self._host_of) if h is None]
 
     def is_total(self) -> bool:
         return None not in self._host_of

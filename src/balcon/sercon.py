@@ -7,7 +7,9 @@ Fit into existing free space, acceptance by the same objective test.
 ``sercon_original`` reconstructs the older multi-pass scheme: it sweeps the
 active hosts repeatedly until a pass releases nothing (or a pass budget of
 |H| passes is hit), commits a release only when every VM of the host found a
-placement, and additionally honors a total migration budget.  Both baselines
+placement, and additionally honors a total migration budget.  A host whose
+last attempt failed with no release accepted since is not re-run: the
+engine records that attempt again (``ReleaseEngine.replay``).  Both baselines
 run on the release-attempt engine of the main heuristic, and both place VMs
 by ``best_fit``.  The exact rule set of the historical heuristic is not
 published in a reusable form, so this variant is an approximation and is
@@ -68,7 +70,9 @@ def sercon_original(
         order = sorted(engine.active, key=lambda h: (host_migration_cost(h, mu, mu0), h))
         for h in order:
             moving = len(mu.members(h))
-            if engine.attempt(h, place).accepted:
+            # a host that failed with nothing accepted since fails alike
+            # (``place`` reads only the engine and the budget used)
+            if (engine.replay(h) or engine.attempt(h, place)).accepted:
                 released_any = True
                 migrations_used += moving
         if not released_any:

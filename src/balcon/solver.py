@@ -14,7 +14,7 @@ import math
 import time
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate, cycle
 from typing import Callable, Optional, Sequence
@@ -25,7 +25,6 @@ from .model import (
     Mapping,
     ObjectiveWeights,
     host_migration_cost,
-    migrated_memory,
     objective,
 )
 
@@ -528,6 +527,13 @@ class ReleaseEngine:
     states the decomposition and why it is exact.  ``force_fit`` asks it only
     before an attempt's first Force Step, so for ``sercon-mod``, which takes
     none, it serves every classification.
+
+    An attempt costs what it touches, not O(|V| + |H|): ``Mapping.begin``
+    opens an empty first-touch map, a rollback walks that map, and the
+    judgement reads it against the running ``best_mig`` and ``active``
+    (``objective`` and ``migrated_memory`` stay the reference a check
+    recomputes).  ``replay`` records a host's failed attempt again without
+    re-running it while nothing has been accepted since.
     """
 
     def __init__(self, inst: Instance, weights: ObjectiveWeights, trace: TraceSink = None) -> None:
@@ -559,6 +565,8 @@ class ReleaseEngine:
         self.angles: tuple[list[int], list[int], list[int], list[int]] | None = None
         self.angle_key = free_ratio_key(max(cap_m, default=0), max(cap_c, default=0))
         self.releasing: int | None = None  # the host of the current attempt
+        # each host's last attempt, if it failed, since the last commit
+        self.failed: dict[int, ReleaseAttempt] = {}
 
     def room(self, v: int) -> list[int]:
         """The hosts of the current attempt, ascending, that VM v may fit
@@ -624,7 +632,8 @@ class ReleaseEngine:
         outside ``mu.moved_hosts() | {h}`` every current free space equals
         the committed one.  So the sums over the index, minus the committed
         term, fc and fm of each host of that set, plus the current ones of
-        each such host but h, are exactly the sums over the attempt's hosts.
+        each such host but h, are exactly the sums over the attempt's hosts;
+        ``moved_hosts`` gives the committed loads of that set.
         """
         if self.angles is None:
             self._build_angles()
@@ -635,13 +644,12 @@ class ReleaseEngine:
         mu = self.mu
         inst = mu.inst
         cap_c, cap_m = inst._cap_cpu, inst._cap_mem
-        old_c, old_m = mu.committed_loads()
         load_c, load_m = mu._load_c, mu._load_m
         h = self.releasing
         moved = mu.moved_hosts()
-        moved.add(h)
-        for g in moved:
-            fc, fm = cap_c[g] - old_c[g], cap_m[g] - old_m[g]
+        moved.setdefault(h, (load_c[h], load_m[h]))
+        for g, (old_c, old_m) in moved.items():
+            fc, fm = cap_c[g] - old_c, cap_m[g] - old_m
             by_c, by_m = fc * s_mem, fm * s_cpu
             cap_num -= by_c if by_c < by_m else by_m
             sum_c -= fc
@@ -742,9 +750,10 @@ class ReleaseEngine:
             result = place(stashed, hosts, mu)
             steps, counts = result.force_steps, result.class_counts
             self.force_steps += steps
-            outcome = self._judge(result)
+            outcome = self._judge(result, emptied=bool(stashed))
             if outcome == ACCEPTED:
                 self._commit()
+                self.failed.clear()
                 released = bool(stashed)
                 if released:
                     self.active.remove(h)
@@ -766,21 +775,59 @@ class ReleaseEngine:
             outcome=outcome,
         )
         self.attempts.append(attempt)
+        if not accepted:
+            self.failed[h] = attempt
         if trace is not None:
             trace({"event": "release_result", "host": h, "accepted": accepted, "outcome": outcome})
         return attempt
 
-    def _judge(self, result: ForceFitResult) -> str:
-        # the outcome of a placement; an accepted one becomes the best
+    def replay(self, h: int) -> ReleaseAttempt | None:
+        """Record again, as a fresh copy, host h's last attempt if it failed
+        and no attempt was accepted since; else None, recording nothing.
+
+        Such an attempt would read the same committed mapping and engine
+        state as before, so a caller whose placement policy depends on
+        nothing else may take the copy in place of re-running the attempt:
+        it is the record the re-run would give.  A replay emits no trace
+        events.
+        """
+        last = self.failed.get(h)
+        if last is None:
+            return None
+        attempt = replace(last, class_counts=dict(last.class_counts))
+        self.force_steps += attempt.force_steps
+        self.attempts.append(attempt)
+        return attempt
+
+    def _judge(self, result: ForceFitResult, emptied: bool) -> str:
+        # The outcome of a placement; an accepted one becomes the best.  It
+        # costs what the attempt touched: the committed mapping is total and
+        # feasible, so the candidate is total iff every touched VM has a host
+        # and feasible iff every host that gained a VM is within capacity;
+        # migrated memory changes only by the touched VMs; and the active
+        # hosts are ``active`` less h when the attempt emptied h, the
+        # invariant argued in ``lower_bound``.
         if not result.completed:
             return BUDGET_EXHAUSTED if result.reason.endswith("budget exhausted") else UNPLACEABLE
         mu, weights = self.mu, self.weights
-        if not mu.is_feasible():
-            return UNPLACEABLE
-        cand_obj = objective(mu, self.mu0, weights)
+        inst = mu.inst
+        cap_c, cap_m, initial, vm_mem = inst._cap_cpu, inst._cap_mem, inst._initial, inst._vm_mem
+        host_of, load_c, load_m = mu._host_of, mu._load_c, mu._load_m
+        cand_mig = self.best_mig
+        for v, old in mu.touched().items():
+            new = host_of[v]
+            if new == old:
+                continue
+            if new is None or load_c[new] > cap_c[new] or load_m[new] > cap_m[new]:
+                return UNPLACEABLE
+            g = initial[v]
+            cand_mig += vm_mem[v] * ((new != g) - (old != g))
+        # the same expression as ``objective``, so the same number type
+        cand_obj = weights.w_a * (len(self.active) - emptied)
+        if weights.w_m != 0:
+            cand_obj = cand_obj + weights.w_m * cand_mig
         if cand_obj > self.best_obj:
             return OBJECTIVE_REJECTED
-        cand_mig = migrated_memory(mu, self.mu0)
         if weights.w_m > 0:
             # accepted steps never spend more than mph new memory
             assert (cand_mig - self.best_mig) * weights.w_m <= weights.w_a, (

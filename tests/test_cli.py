@@ -95,6 +95,15 @@ class TestSolve:
             assert main(["solve", "--algo", algo, "-o", str(out), str(fig2_path)]) == 0
             assert load_instance(out).initial_mapping().active_count() == 3
 
+    @pytest.mark.parametrize("algo", ["balcon", "sercon-mod"])
+    def test_max_migrations_only_with_sercon_orig(self, algo, fig2_path, tmp_path, capsys):
+        out = tmp_path / "result.json"
+        flags = ["solve", "--max-migrations", "0", "-o", str(out), str(fig2_path)]
+        assert main([*flags, "--algo", algo]) == 1
+        assert "--max-migrations" in capsys.readouterr().err
+        assert not out.exists()
+        assert main([*flags, "--algo", "sercon-orig"]) == 0
+
     def test_stdout_output(self, fig2_path, capsys):
         assert main(["solve", "--mph", "0", str(fig2_path)]) == 0
         captured = capsys.readouterr()
@@ -231,6 +240,13 @@ class TestSweep:
         assert by_key[("inf", "balcon")]["active_hosts"] == "2"
         assert by_key[("inf", "sercon-mod")]["active_hosts"] == "3"
         assert by_key[("0", "balcon")]["migrated_mem"] == "0"
+
+    @pytest.mark.parametrize("grid", ["", ",", " , "])
+    def test_empty_grid_rejected(self, grid, fig2_path, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--grid", grid, "-o", str(out), str(fig2_path)]) == 2
+        assert "--grid" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_parallel_jobs_match_serial(self, fig2_path, tmp_path):
         serial = tmp_path / "serial.csv"

@@ -304,7 +304,7 @@ class TestJournal:
         _apply(mu, ops)
         assert mu.committed_loads() == (before._load_c, before._load_m)
         moved = mu.moved_hosts()
-        assert moved == {
+        assert moved.keys() == {
             g
             for v in range(len(mu.inst.vms))
             if mu.host_of(v) != before.host_of(v)
@@ -312,11 +312,34 @@ class TestJournal:
             if g is not None
         }
         for g in range(len(mu.inst.hosts)):
-            if g not in moved:
+            if g in moved:
+                assert moved[g] == before.load_parts(g)
+            else:
                 assert mu.load_parts(g) == before.load_parts(g)
         mu.commit()
         with pytest.raises(RuntimeError):
             mu.moved_hosts()
+
+    @given(st.integers(0, 2**32), OPS, OPS, st.integers(0, 63), st.lists(st.integers(0, 63), min_size=1))
+    def test_rollback_after_touching_one_vm_many_times(self, seed, before_ops, ops, a, hosts):
+        # one VM toggled through more than |V| assigns and unassigns amid
+        # other changes: the first-touch map keeps one entry per VM, with
+        # its host at begin(), and the rollback is still exact
+        mu = random_instance(random.Random(seed)).initial_mapping()
+        _apply(mu, before_ops)
+        before = mu.copy()
+        n_vms = len(mu.inst.vms)
+        mu.begin()
+        _apply(mu, ops)
+        _apply(mu, [(a, hosts[i % len(hosts)]) for i in range(2 * n_vms + 1)])
+        _apply(mu, ops)
+        touched = mu.touched()
+        assert len(touched) <= n_vms
+        assert a % n_vms in touched
+        assert all(touched[v] == before.host_of(v) for v in touched)
+        mu.rollback()
+        assert _state(mu) == _state(before)
+        assert mu.caches_consistent()
 
     @given(st.integers(0, 2**32), OPS, OPS)
     def test_commit_keeps_the_changes(self, seed, before_ops, ops):

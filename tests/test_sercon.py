@@ -2,9 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from balcon import (
     Flavor,
+    GenConfig,
     Host,
     Instance,
     ObjectiveWeights,
@@ -12,11 +14,12 @@ from balcon import (
     SerconOriginalParams,
     SolverParams,
     VM,
+    generate_instance,
     objective,
     sercon_modified,
     sercon_original,
 )
-from balcon.solver import balcon
+from balcon.solver import ReleaseEngine, balcon
 
 INF_PARAMS = SolverParams(weights=ObjectiveWeights.from_mph(math.inf))
 
@@ -128,6 +131,67 @@ class TestSerconOriginal:
     def test_params_validation(self):
         with pytest.raises(ValueError):
             SerconOriginalParams(max_total_migrations=-1)
+
+
+def _replay_checked(inst: Instance, params: SolverParams, original: SerconOriginalParams) -> int:
+    """Run ``sercon_original`` as it is and again with every attempt re-run
+    instead of replayed; the two runs must agree record by record, each
+    replayed record a fresh copy.  Returns the number of replays."""
+    replayed = []
+    real_replay = ReleaseEngine.replay
+
+    def replay(engine, h):
+        out = real_replay(engine, h)
+        if out is not None:
+            replayed.append(len(engine.attempts) - 1)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ReleaseEngine, "replay", replay)
+        mu, report = sercon_original(inst, params, original)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ReleaseEngine, "replay", lambda engine, h: None)
+        mu_rerun, rerun = sercon_original(inst, params, original)
+    assert report.attempts == rerun.attempts
+    assert mu.assignment == mu_rerun.assignment
+    assert (report.objective, report.migrated_mem, report.force_steps) == (
+        rerun.objective,
+        rerun.migrated_mem,
+        rerun.force_steps,
+    )
+    attempts = report.attempts
+    for i in replayed:
+        assert not attempts[i].accepted
+        earlier = [a for a in attempts[:i] if a.host == attempts[i].host]
+        assert all(a is not attempts[i] for a in earlier)
+        assert all(a.class_counts is not attempts[i].class_counts for a in earlier)
+    return len(replayed)
+
+
+class TestSerconOriginalReplay:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**16),
+        st.integers(2, 24),
+        st.sampled_from(["lopsided", "uniform"]),
+        st.sampled_from([0, 10, math.inf]),
+        st.sampled_from([None, 0, 5, 40]),
+    )
+    def test_replays_equal_reruns(self, seed, hosts, mode, mph, budget):
+        inst = generate_instance(
+            GenConfig(seed=seed, num_hosts=hosts, mode=mode, target_fill=0.6)
+        )
+        params = SolverParams(weights=ObjectiveWeights.from_mph(mph))
+        _replay_checked(inst, params, SerconOriginalParams(max_total_migrations=budget))
+
+    def test_replays_are_exercised(self):
+        replays = 0
+        for seed in range(3):
+            inst = generate_instance(
+                GenConfig(seed=seed, num_hosts=20, mode="lopsided", target_fill=0.6)
+            )
+            replays += _replay_checked(inst, INF_PARAMS, SerconOriginalParams())
+        assert replays > 0
 
 
 class TestObjectiveAcceptance:

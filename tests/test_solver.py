@@ -37,6 +37,7 @@ from balcon.classify import classify
 from balcon.solver import ReleaseEngine, free_ratio_key
 
 from conftest import A, B, GREEN, RED, YELLOW, random_instance
+from test_golden_reports import BASELINE_GROUPS, GROUPS as GOLDEN_GROUPS
 
 INF_PARAMS = SolverParams(weights=ObjectiveWeights.from_mph(math.inf))
 
@@ -676,6 +677,52 @@ class TestRoomLists:
         assert asked == [B]
 
 
+def _run_objective_checked(inst: Instance, weights: ObjectiveWeights, algo: str) -> int:
+    """Run one algorithm with the engine's running ``best_obj`` and
+    ``best_mig`` checked against ``objective`` and ``migrated_memory``
+    recomputed from scratch after every attempt; returns the attempts."""
+    ran = 0
+    real_attempt = ReleaseEngine.attempt
+
+    def attempt(engine, h, place):
+        nonlocal ran
+        out = real_attempt(engine, h, place)
+        mu, mu0 = engine.mu, engine.mu0
+        obj = objective(mu, mu0, weights)
+        assert (engine.best_obj, type(engine.best_obj)) == (obj, type(obj)), h
+        assert engine.best_mig == migrated_memory(mu, mu0), h
+        assert (out.objective_after, out.migrated_after) == (engine.best_obj, engine.best_mig)
+        ran += 1
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ReleaseEngine, "attempt", attempt)
+        ALGORITHMS[algo](inst, SolverParams(weights=weights))
+    return ran
+
+
+OBJECTIVE_RUNS = [
+    *((group, algo) for group in sorted(GOLDEN_GROUPS) for algo in sorted(ALGORITHMS)),
+    ("lopsided-300-hosts", "sercon-mod"),
+    ("lopsided-300-hosts", "sercon-orig"),
+]
+
+
+class TestRunningObjective:
+    @pytest.mark.parametrize("group, algo", OBJECTIVE_RUNS)
+    def test_matches_recomputation_on_golden_runs(self, group, algo):
+        ran = 0
+        for key, inst, weights in {**GOLDEN_GROUPS, **BASELINE_GROUPS}[group]():
+            ran += _run_objective_checked(inst, weights, algo)
+        assert ran > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), MPHS, st.sampled_from(sorted(ALGORITHMS)))
+    def test_matches_recomputation_on_random_instances(self, seed, mph, algo):
+        inst = random_instance(random.Random(seed))
+        _run_objective_checked(inst, ObjectiveWeights.from_mph(mph), algo)
+
+
 INDEX_ALGORITHMS = ("balcon", "sercon-mod")
 
 
@@ -703,7 +750,7 @@ def _run_index_checked(inst: Instance, mph, algo: str) -> Counter:
         load_c, load_m = mu.committed_loads()
         ran["sums"] += 1
         ran["after a release"] += any(a.released for a in engine.attempts)
-        ran["moved besides h"] += bool(mu.moved_hosts() - {h})
+        ran["moved besides h"] += bool(mu.moved_hosts().keys() - {h})
         ran["h had free space"] += (load_c[h], load_m[h]) != mu.inst.capacity(h).as_tuple()
         return sums
 
