@@ -300,9 +300,10 @@ class Mapping:
     A tentative change is an attempt: ``begin()`` opens an empty first-touch
     map ``{vm: host at first touch}``, to which ``assign``/``unassign`` add a
     VM only the first time they touch it; ``rollback()`` moves each touched
-    VM back in place and ``commit()`` keeps the change.  Opening, undoing and
-    inspecting an attempt thus costs what the attempt touched, at most |V|
-    entries however often it moved a VM.  Attempts do not nest.
+    VM back in place and ``commit()`` keeps the change.  Opening and undoing
+    an attempt, and listing the hosts it moved, thus cost what the attempt
+    touched: at most |V| entries, however often it moved a VM.  Attempts do
+    not nest.
     """
 
     __slots__ = ("inst", "_host_of", "_load_c", "_load_m", "_members", "_first")
