@@ -64,7 +64,7 @@ from .oracle import (
     brute_force_optimal,
     min_active_hosts_bound,
 )
-from .sercon import SerconOriginalParams, sercon_modified, sercon_original
+from .sercon import sercon_modified, sercon_original
 from .solver import (
     RepeatsProhibitor,
     ResourceToggle,

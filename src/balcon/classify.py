@@ -2,7 +2,9 @@
 
 The balance factor measures how much of the cluster's pooled free space is
 usable under the current per-host distribution, in units of a reference
-vector s (usually the aggregate demand of the stash):
+vector s, positive in both resources (usually the aggregate demand of the
+stash; ``capacity``, ``potential_capacity`` and ``balance_factor`` reject
+any other):
 
     cap(s, H)  = sum_h min(free(h).cpu / s.cpu, free(h).mem / s.mem)
     pcap(s, H) = min(sum_h free(h).cpu / s.cpu, sum_h free(h).mem / s.mem)
@@ -76,19 +78,12 @@ class Stash:
         return v
 
     @property
-    def s(self) -> ResourceVec:
-        return ResourceVec(self._cpu, self._mem)
-
-    @property
     def cpu_total(self) -> int:
         return self._cpu
 
     @property
     def mem_total(self) -> int:
         return self._mem
-
-    def vm_ids(self) -> list[int]:
-        return sorted(v for _, v in self._heap)
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -99,25 +94,11 @@ class Stash:
 
 def _s_parts(s) -> tuple[Fraction, Fraction]:
     if isinstance(s, ResourceVec):
-        s_cpu, s_mem = Fraction(s.cpu), Fraction(s.mem)
-    else:
-        s_cpu, s_mem = Fraction(s[0]), Fraction(s[1])
-    if s_cpu < 0 or s_mem < 0:
-        raise ValueError("reference vector must be non-negative")
-    if s_cpu == 0 and s_mem == 0:
-        raise ValueError("capacity is undefined for a zero reference vector")
+        s = (s.cpu, s.mem)
+    s_cpu, s_mem = Fraction(s[0]), Fraction(s[1])
+    if s_cpu <= 0 or s_mem <= 0:
+        raise ValueError("reference vector must be positive in both components")
     return s_cpu, s_mem
-
-
-def _host_ratio(fc: int, fm: int, s_cpu: Fraction, s_mem: Fraction) -> Fraction:
-    # A zero reference component contributes an infinite ratio, so the min
-    # collapses onto the other resource.
-    ratios = []
-    if s_cpu > 0:
-        ratios.append(Fraction(fc) / s_cpu)
-    if s_mem > 0:
-        ratios.append(Fraction(fm) / s_mem)
-    return min(ratios)
 
 
 def capacity(s, hosts: Sequence[int], mu: Mapping) -> Fraction:
@@ -126,7 +107,7 @@ def capacity(s, hosts: Sequence[int], mu: Mapping) -> Fraction:
     total = Fraction(0)
     for h in hosts:
         fc, fm = mu.free_parts(h)
-        total += _host_ratio(fc, fm, s_cpu, s_mem)
+        total += min(fc / s_cpu, fm / s_mem)
     return total
 
 
@@ -139,7 +120,7 @@ def potential_capacity(s, hosts: Sequence[int], mu: Mapping) -> Fraction:
         fc, fm = mu.free_parts(h)
         sum_c += fc
         sum_m += fm
-    return _host_ratio(sum_c, sum_m, s_cpu, s_mem)
+    return min(sum_c / s_cpu, sum_m / s_mem)
 
 
 def balance_factor(s, hosts: Sequence[int], mu: Mapping) -> Fraction:
@@ -183,8 +164,9 @@ def classify(
     """Classify the cluster state for placing the stash's largest VM ``v``.
 
     ``v`` must still be in the stash: the reference vector is the aggregate
-    stash demand including it.  Ample when some host fits v directly; else
-    Lopsided when cap < 1 or cap < alpha * pcap; else Balanced.
+    stash demand including it, positive in both resources as every flavor's
+    demand is.  Ample when some host fits v directly; else Lopsided when
+    cap < 1 or cap < alpha * pcap; else Balanced.
     """
     inst = mu.inst
     cap_c = inst._cap_cpu
@@ -195,27 +177,17 @@ def classify(
     vm = inst.vm_mem(v)
     s_cpu = stash.cpu_total
     s_mem = stash.mem_total
-    if s_cpu > 0 and s_mem > 0:
-        cap_num = 0
-        sum_c = 0
-        sum_m = 0
-        for h in hosts:
-            fc = cap_c[h] - load_c[h]
-            fm = cap_m[h] - load_m[h]
-            if vc <= fc and vm <= fm:
-                return ClusterClass.AMPLE
-            by_c = fc * s_mem
-            by_m = fm * s_cpu
-            cap_num += by_c if by_c < by_m else by_m
-            sum_c += fc
-            sum_m += fm
-        return split_class(cap_num, sum_c, sum_m, s_cpu, s_mem, alpha)
+    cap_num = 0
+    sum_c = 0
+    sum_m = 0
     for h in hosts:
-        if vc <= cap_c[h] - load_c[h] and vm <= cap_m[h] - load_m[h]:
+        fc = cap_c[h] - load_c[h]
+        fm = cap_m[h] - load_m[h]
+        if vc <= fc and vm <= fm:
             return ClusterClass.AMPLE
-    # Degenerate single-resource stash; exact rational fallback.
-    s = (s_cpu, s_mem)
-    cap = capacity(s, hosts, mu)
-    if cap < 1 or cap < alpha * potential_capacity(s, hosts, mu):
-        return ClusterClass.LOPSIDED
-    return ClusterClass.BALANCED
+        by_c = fc * s_mem
+        by_m = fm * s_cpu
+        cap_num += by_c if by_c < by_m else by_m
+        sum_c += fc
+        sum_m += fm
+    return split_class(cap_num, sum_c, sum_m, s_cpu, s_mem, alpha)

@@ -43,7 +43,7 @@ from .model import (
 )
 from .classify import DEFAULT_ALPHA
 from .oracle import OracleLimits, brute_force_optimal
-from .sercon import SerconOriginalParams, sercon_modified, sercon_original
+from .sercon import sercon_modified, sercon_original
 from .solver import (
     DEFAULT_FORCE_STEP_LIMIT,
     DEFAULT_REPEAT_LIMIT,
@@ -99,12 +99,19 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
                         help=f"max consecutive choices of one destination host (default {DEFAULT_REPEAT_LIMIT})")
 
 
+def _at_least(flag: str, value: int, low: int) -> int:
+    # a range error that names the flag, not the field it sets
+    if value < low:
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
+    return value
+
+
 def _solver_params(args) -> SolverParams:
     return SolverParams(
         weights=ObjectiveWeights.from_mph(args.mph),
         alpha=args.alpha,
-        force_step_limit=args.force_steps,
-        repeat_limit=args.gamma,
+        force_step_limit=_at_least("--force-steps", args.force_steps, 0),
+        repeat_limit=_at_least("--gamma", args.gamma, 1),
     )
 
 
@@ -158,8 +165,10 @@ def cmd_solve(args) -> int:
     elif args.algo == "sercon-mod":
         mapping, report = sercon_modified(inst, params)
     else:
-        sp = SerconOriginalParams(max_total_migrations=args.max_migrations)
-        mapping, report = sercon_original(inst, params, sp)
+        budget = args.max_migrations
+        if budget is not None:
+            _at_least("--max-migrations", budget, 0)
+        mapping, report = sercon_original(inst, params, max_total_migrations=budget)
     _emit_instance(instance_with_mapping(inst, mapping), args.output)
     if args.report:
         Path(args.report).write_text(json.dumps(_report_dict(report), indent=1) + "\n")
@@ -272,9 +281,7 @@ def _algo_list(text: str) -> list[str]:
 def _run_all(worker, payloads: list, jobs: int) -> list:
     """``worker`` over ``payloads`` in order, on at most ``jobs`` processes;
     a pool never has more workers than payloads."""
-    if jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {jobs}")
-    workers = min(jobs, len(payloads))
+    workers = min(_at_least("--jobs", jobs, 1), len(payloads))
     if workers <= 1:
         return [worker(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=workers) as pool:

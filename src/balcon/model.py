@@ -69,22 +69,6 @@ class ResourceVec:
             if value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
 
-    def __add__(self, other: "ResourceVec") -> "ResourceVec":
-        return ResourceVec(self.cpu + other.cpu, self.mem + other.mem)
-
-    def __sub__(self, other: "ResourceVec") -> "ResourceVec":
-        return ResourceVec(self.cpu - other.cpu, self.mem - other.mem)
-
-    def fits_within(self, other: "ResourceVec") -> bool:
-        """Componentwise <=; a partial order, deliberately not __le__."""
-        return self.cpu <= other.cpu and self.mem <= other.mem
-
-    def is_zero(self) -> bool:
-        return self.cpu == 0 and self.mem == 0
-
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.cpu, self.mem)
-
 
 @dataclass(frozen=True)
 class Flavor:
@@ -151,10 +135,6 @@ class ObjectiveWeights:
         if self.w_m == 0:
             return math.inf
         return Fraction(self.w_a) / Fraction(self.w_m)
-
-    @property
-    def bin_packing(self) -> bool:
-        return self.w_m == 0
 
 
 class Instance:
@@ -245,9 +225,6 @@ class Instance:
 
     def initial_host(self, v: int) -> int:
         return self._initial[v]
-
-    def demand(self, v: int) -> ResourceVec:
-        return ResourceVec(self._vm_cpu[v], self._vm_mem[v])
 
     def vm_cpu(self, v: int) -> int:
         return self._vm_cpu[v]
@@ -444,15 +421,8 @@ class Mapping:
         self._members[h].discard(v)
         return h
 
-    def load(self, h: int) -> ResourceVec:
-        return ResourceVec(self._load_c[h], self._load_m[h])
-
     def load_parts(self, h: int) -> tuple[int, int]:
         return (self._load_c[h], self._load_m[h])
-
-    def free(self, h: int) -> ResourceVec:
-        fc, fm = self.free_parts(h)
-        return ResourceVec(fc, fm)
 
     def free_parts(self, h: int) -> tuple[int, int]:
         fc = self.inst._cap_cpu[h] - self._load_c[h]
@@ -557,9 +527,12 @@ def surrogate_load(h: int, mu: Mapping) -> Fraction:
 
 
 def _require_int(obj: dict, key: str, kind: str, i: int) -> int:
-    if key not in obj:
-        raise InstanceFormatError(f"{kind}[{i}]: missing field {key!r}")
-    value = obj[key]
+    try:
+        value = obj[key]
+    except KeyError:
+        raise InstanceFormatError(f"{kind}[{i}]: missing field {key!r}") from None
+    except TypeError:  # not a JSON object: a number, null, a string or a list
+        raise InstanceFormatError(f"{kind}[{i}]: expected an object, got {obj!r}") from None
     if type(value) is not int:
         raise InstanceFormatError(f"{kind}[{i}].{key}: expected an integer, got {value!r}")
     return value

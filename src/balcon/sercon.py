@@ -17,48 +17,40 @@ kept out of the fidelity gates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .model import Instance, Mapping, host_migration_cost
 from .solver import ForceFitResult, ReleaseEngine, RunReport, SolverParams, balcon, best_fit
 
-__all__ = ["SerconOriginalParams", "sercon_modified", "sercon_original"]
-
-
-@dataclass(frozen=True)
-class SerconOriginalParams:
-    """max_total_migrations: overall cap on VMs moved (None = unlimited)."""
-
-    max_total_migrations: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_total_migrations is not None and self.max_total_migrations < 0:
-            raise ValueError("max_total_migrations must be non-negative")
+__all__ = ["sercon_modified", "sercon_original"]
 
 
 def sercon_modified(inst: Instance, params: SolverParams) -> tuple[Mapping, RunReport]:
     """The main heuristic with the Force Step budget forced to zero."""
-    mu, report = balcon(
-        inst, replace(params, force_step_limit=0), algorithm="sercon-mod"
-    )
-    return mu, report
+    return balcon(inst, replace(params, force_step_limit=0), algorithm="sercon-mod")
 
 
 def sercon_original(
     inst: Instance,
     params: SolverParams,
-    original: SerconOriginalParams = SerconOriginalParams(),
+    *,
+    max_total_migrations: int | None = None,
 ) -> tuple[Mapping, RunReport]:
+    """The multi-pass baseline; ``max_total_migrations`` caps the VMs moved
+    over all accepted releases (None: unlimited)."""
+    if max_total_migrations is not None and max_total_migrations < 0:
+        raise ValueError("max_total_migrations must be non-negative")
     engine = ReleaseEngine(inst, params.weights)
     mu, mu0 = engine.mu, engine.mu0
-    budget = original.max_total_migrations
     size = inst._size_num
     migrations_used = 0
 
-    def place(stashed: tuple[int, ...], hosts: list[int], mu: Mapping) -> ForceFitResult:
+    def place(stashed: tuple[int, ...]) -> ForceFitResult:
         # all or nothing, largest VM first; the attempt ends at the first VM
         # that fits nowhere
-        if budget is not None and migrations_used + len(stashed) > budget:
+        if max_total_migrations is not None and (
+            migrations_used + len(stashed) > max_total_migrations
+        ):
             return ForceFitResult(0, {}, False, "migration budget exhausted")
         for v in sorted(stashed, key=lambda x: (-size[x], x)):
             if best_fit(v, engine.room(v), mu) is None:

@@ -413,23 +413,22 @@ def force_fit(
     non-empty and the mapping stays partial, which the caller rejects.
 
     ``engine``, when given, is the ``ReleaseEngine`` whose attempt this is,
-    and ``hosts`` are that attempt's hosts.  Until the first Force Step the
-    engine serves two scans:
+    and ``hosts`` are that attempt's hosts (``engine.hosts()``).  Until the
+    first Force Step the engine serves two scans:
 
     - Best Fit scans ``engine.room(v)``, the attempt's hosts v may fit,
       instead of ``hosts``;
-    - when v fits none of them and both stash totals are positive,
-      ``engine.classify`` tells Balanced from Lopsided from its free-space
-      angle index instead of ``classify``'s scan of ``hosts``.  It skips the
-      Ample test, which is sound because Best Fit has just found no host in
-      a superset of the hosts that fit v.
+    - when v fits none of them, ``engine.classify`` tells Balanced from
+      Lopsided from its free-space angle index instead of ``classify``'s
+      scan of ``hosts``.  It skips the Ample test, which is sound because
+      Best Fit has just found no host in a superset of the hosts that fit v.
 
     Both rest on loads having changed only on the hosts the attempt moved
     VMs to or from.  A Force Step can lower a host's load by its evictions,
     after which a host may fit v that the room list left out, and every
     eviction adds a host the index must correct for, so from then on Best
-    Fit scans ``hosts`` and ``classify`` scans them too, as it also does for
-    a single-resource stash.  Without an engine both always scan ``hosts``.
+    Fit scans ``hosts`` and ``classify`` scans them too.  Without an engine
+    both always scan ``hosts``.
     """
     limit = params.force_step_limit
     steps = 0
@@ -461,7 +460,7 @@ def force_fit(
         dest = best_fit(v, engine.room(v) if fresh else hosts, mu)
         if dest is not None:
             cls = ClusterClass.AMPLE
-        elif fresh and stash.cpu_total > 0 and stash.mem_total > 0:
+        elif fresh:
             cls = engine.classify(stash, params.alpha)
         else:
             cls = classify(stash, hosts, mu, v, params.alpha)
@@ -506,13 +505,14 @@ class ReleaseEngine:
     """Release attempts on one mapping, each kept or undone by the objective
     test; shared by ``balcon`` and the Sercon baselines.
 
-    ``attempt(h, place)`` stashes the VMs of host h and hands them, with the
-    hosts still active, to the placement policy ``place(stashed, hosts,
-    mu)``.  The result is kept when the policy completes, the mapping is
-    feasible and the objective does not increase; otherwise the mapping is
-    rolled back to where the attempt began.  An attempt on a non-empty host
-    whose ``lower_bound`` exceeds the best objective is skipped before the
-    mapping is touched.
+    ``attempt(h, place)`` stashes the VMs of host h and hands them to the
+    placement policy ``place(stashed)``, which places them on ``mu``; a
+    policy that scans the attempt's hosts asks ``hosts()`` for them.  The
+    result is kept when the policy completes, the mapping is feasible and
+    the objective does not increase; otherwise the mapping is rolled back to
+    where the attempt began.  An attempt on a non-empty host whose
+    ``lower_bound`` exceeds the best objective is skipped before the mapping
+    is touched.
 
     The engine keeps the active hosts in ascending order (``active``; see
     ``lower_bound`` for why dropping each released host keeps it exact) and,
@@ -568,6 +568,16 @@ class ReleaseEngine:
         # each host's last attempt, if it failed, since the last commit
         self.failed: dict[int, ReleaseAttempt] = {}
 
+    def hosts(self) -> list[int]:
+        """The hosts of the current attempt: ``active`` without the released
+        host, ascending, as a fresh list."""
+        hosts = self.active.copy()
+        h = self.releasing
+        i = bisect_left(hosts, h)
+        if i < len(hosts) and hosts[i] == h:
+            del hosts[i]
+        return hosts
+
     def room(self, v: int) -> list[int]:
         """The hosts of the current attempt, ascending, that VM v may fit
         before the attempt's first Force Step; read-only.
@@ -605,14 +615,15 @@ class ReleaseEngine:
     def classify(self, stash: Stash, alpha: Fraction) -> ClusterClass:
         """Balanced or Lopsided for the stash of the current attempt, whose
         largest VM fits none of the attempt's hosts; before the attempt's
-        first Force Step only, and for positive stash totals."""
+        first Force Step only."""
         s_cpu, s_mem = stash.cpu_total, stash.mem_total
         return split_class(*self.free_sums(s_cpu, s_mem), s_cpu, s_mem, alpha)
 
     def free_sums(self, s_cpu: int, s_mem: int) -> tuple[int, int, int]:
         """``(cap_num, sum_c, sum_m)`` of ``classify.split_class`` over the
-        hosts of the current attempt at their current loads, for s_cpu,
-        s_mem > 0, in O(log H + moved hosts) instead of a scan of H hosts.
+        hosts of the current attempt at their current loads, for the stash
+        totals s_cpu and s_mem, in O(log H + moved hosts) instead of a scan
+        of H hosts.
 
         With S = (s_cpu, s_mem), ``cap_num = sum_g min(fc_g * s_mem, fm_g *
         s_cpu)``.  In the hosts sorted by free-space ratio fc / fm (fm = 0
@@ -628,12 +639,13 @@ class ReleaseEngine:
         ``active`` at the committed loads.  It is built at its first query
         from ``Mapping.committed_loads``, survives a rollback, which restores
         those loads, and is dropped by a commit that moved a VM.  The
-        attempt's hosts are ``active`` without the released host h, and
-        outside ``mu.moved_hosts() | {h}`` every current free space equals
-        the committed one.  So the sums over the index, minus the committed
-        term, fc and fm of each host of that set, plus the current ones of
-        each such host but h, are exactly the sums over the attempt's hosts;
-        ``moved_hosts`` gives the committed loads of that set.
+        attempt's hosts (``hosts()``) are ``active`` without the released
+        host h, and outside ``mu.moved_hosts() | {h}`` every current free
+        space equals the committed one.  So the sums over the index, minus
+        the committed term, fc and fm of each host of that set, plus the
+        current ones of each such host but h, are exactly the sums over the
+        attempt's hosts; ``moved_hosts`` gives the committed loads of that
+        set.
         """
         if self.angles is None:
             self._build_angles()
@@ -730,7 +742,7 @@ class ReleaseEngine:
     def attempt(
         self,
         h: int,
-        place: Callable[[tuple[int, ...], list[int], Mapping], ForceFitResult],
+        place: Callable[[tuple[int, ...]], ForceFitResult],
     ) -> ReleaseAttempt:
         mu, trace = self.mu, self.trace
         steps, counts, released = 0, {}, False
@@ -740,14 +752,11 @@ class ReleaseEngine:
             mu.begin()
             self.releasing = h
             stashed = mu.vms_on(h)
-            hosts = self.active.copy()
-            if stashed:
-                hosts.remove(h)
             for v in stashed:
                 mu.unassign(v)
             if trace is not None:
                 trace({"event": "release_attempt", "host": h, "stash": list(stashed)})
-            result = place(stashed, hosts, mu)
+            result = place(stashed)
             steps, counts = result.force_steps, result.class_counts
             self.force_steps += steps
             outcome = self._judge(result, emptied=bool(stashed))
@@ -883,8 +892,8 @@ def balcon(
     engine = ReleaseEngine(inst, params.weights, trace)
     mu0 = engine.mu0
 
-    def place(stashed: tuple[int, ...], hosts: list[int], mu: Mapping) -> ForceFitResult:
-        return force_fit(Stash(inst, stashed), hosts, mu, params, trace, engine)
+    def place(stashed: tuple[int, ...]) -> ForceFitResult:
+        return force_fit(Stash(inst, stashed), engine.hosts(), engine.mu, params, trace, engine)
 
     for h in sorted(range(len(inst.hosts)), key=lambda h: (host_migration_cost(h, mu0, mu0), h)):
         engine.attempt(h, place)

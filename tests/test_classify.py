@@ -63,10 +63,14 @@ class TestCapacityEdges:
         s = ResourceVec(3, 2)
         assert capacity(s, [0], mu) == potential_capacity(s, [0], mu)
 
-    def test_zero_s_component_collapses_to_other_resource(self):
+    def test_zero_s_component_rejected(self):
+        # every stash total is positive in both resources, as every flavor's
+        # demand is, so a zero component is a caller error
         inst, mu = fleet_with_frees([(4, 2)])
-        assert capacity((4, 0), [0], mu) == 1  # free (4,2): 4/4
-        assert potential_capacity((0, 2), [0], mu) == 1  # 2/2
+        for s in ((4, 0), (0, 2)):
+            for measure in (capacity, potential_capacity, balance_factor):
+                with pytest.raises(ValueError, match="positive"):
+                    measure(s, [0], mu)
 
     def test_zero_s_rejected(self):
         inst, mu = fleet_with_frees([(4, 2)])
@@ -109,12 +113,12 @@ class TestStash:
 
     def test_vector_tracking(self, fig2):
         stash = Stash(fig2)
-        assert stash.s == ResourceVec(0, 0)
+        assert (stash.cpu_total, stash.mem_total) == (0, 0)
         stash.push(RED)
         stash.push(3)
-        assert stash.s == ResourceVec(7, 4)
+        assert (stash.cpu_total, stash.mem_total) == (7, 4)
         stash.pop()
-        assert stash.s in (ResourceVec(3, 3), ResourceVec(4, 1))
+        assert (stash.cpu_total, stash.mem_total) in ((3, 3), (4, 1))
         assert len(stash) == 1
 
     def test_peek_keeps_member(self, fig2):

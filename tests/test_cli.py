@@ -143,8 +143,48 @@ class TestExitCodes:
         )
         assert main(["solve", str(bad)]) == 2
 
+    @pytest.mark.parametrize("kind", ["hosts", "flavors", "vms"])
+    @pytest.mark.parametrize("entry", [5, None, True, "idcpumem"])
+    def test_non_object_entry(self, kind, entry, tmp_path, capsys):
+        doc = instance_to_dict(make_fig2())
+        i = len(doc[kind])
+        doc[kind].append(entry)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["solve", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"{kind}[{i}]" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["hosts", "flavors"])
+    @pytest.mark.parametrize("field", ["cpu", "mem"])
+    def test_zero_resource(self, kind, field, tmp_path, capsys):
+        doc = instance_to_dict(make_fig2())
+        doc[kind][1][field] = 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["solve", str(bad)]) == 2
+        assert f"{kind}[1]" in capsys.readouterr().err
+
     def test_oracle_size_refusal(self, tmp_path, fig2_path):
         assert main(["oracle", "--max-vms", "2", str(fig2_path)]) == 2
+
+
+class TestFlagRanges:
+    @pytest.mark.parametrize(
+        "flag, value, algo",
+        [("--gamma", "0", "balcon"), ("--force-steps", "-1", "balcon"), ("--max-migrations", "-1", "sercon-orig")],
+    )
+    def test_solve_names_the_flag(self, flag, value, algo, fig2_path, tmp_path, capsys):
+        out = tmp_path / "result.json"
+        assert main(["solve", "--algo", algo, flag, value, "-o", str(out), str(fig2_path)]) == 2
+        assert f"error: {flag} must be at least" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--gamma", "0"), ("--force-steps", "-1")])
+    def test_eval_names_the_flag(self, flag, value, fig2_path, tmp_path, capsys):
+        assert main(["eval", flag, value, "--out-dir", str(tmp_path / "eval"), str(fig2_path)]) == 2
+        assert f"error: {flag} must be at least" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
 
 
 class TestGenerate:

@@ -34,7 +34,6 @@ import pytest
 from balcon import (
     GenConfig,
     ObjectiveWeights,
-    SerconOriginalParams,
     SolverParams,
     balcon,
     generate_instance,
@@ -93,10 +92,7 @@ BASELINE_GROUPS = {
 BASELINES = {
     "sercon-mod": sercon_modified,
     "sercon-orig": sercon_original,
-    "sercon-orig-capped": partial(
-        sercon_original,
-        original=SerconOriginalParams(max_total_migrations=5),
-    ),
+    "sercon-orig-capped": partial(sercon_original, max_total_migrations=5),
 }
 
 

@@ -11,7 +11,6 @@ from balcon import (
     Instance,
     ObjectiveWeights,
     ResourceVec,
-    SerconOriginalParams,
     SolverParams,
     VM,
     generate_instance,
@@ -74,16 +73,12 @@ class TestSerconOriginal:
 
     def test_zero_migration_budget_returns_initial(self):
         inst = releasable_instance()
-        mu, report = sercon_original(
-            inst, INF_PARAMS, SerconOriginalParams(max_total_migrations=0)
-        )
+        mu, report = sercon_original(inst, INF_PARAMS, max_total_migrations=0)
         assert mu.assignment == inst.initial_mapping().assignment
 
     def test_migration_budget_limits_releases(self):
         inst = releasable_instance()
-        mu, report = sercon_original(
-            inst, INF_PARAMS, SerconOriginalParams(max_total_migrations=1)
-        )
+        mu, report = sercon_original(inst, INF_PARAMS, max_total_migrations=1)
         assert report.active_hosts == 1
 
     def test_mph_zero_returns_initial(self, fig2):
@@ -125,15 +120,15 @@ class TestSerconOriginal:
         # every attempt before it places anything
         _, report = sercon_original(fig2, INF_PARAMS)
         assert [a.outcome for a in report.attempts] == ["unplaceable"] * 3
-        _, report = sercon_original(fig2, INF_PARAMS, SerconOriginalParams(max_total_migrations=0))
+        _, report = sercon_original(fig2, INF_PARAMS, max_total_migrations=0)
         assert [a.outcome for a in report.attempts] == ["budget_exhausted"] * 3
 
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            SerconOriginalParams(max_total_migrations=-1)
+    def test_params_validation(self, fig2):
+        with pytest.raises(ValueError, match="max_total_migrations"):
+            sercon_original(fig2, INF_PARAMS, max_total_migrations=-1)
 
 
-def _replay_checked(inst: Instance, params: SolverParams, original: SerconOriginalParams) -> int:
+def _replay_checked(inst: Instance, params: SolverParams, budget: int | None = None) -> int:
     """Run ``sercon_original`` as it is and again with every attempt re-run
     instead of replayed; the two runs must agree record by record, each
     replayed record a fresh copy.  Returns the number of replays."""
@@ -148,10 +143,10 @@ def _replay_checked(inst: Instance, params: SolverParams, original: SerconOrigin
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ReleaseEngine, "replay", replay)
-        mu, report = sercon_original(inst, params, original)
+        mu, report = sercon_original(inst, params, max_total_migrations=budget)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ReleaseEngine, "replay", lambda engine, h: None)
-        mu_rerun, rerun = sercon_original(inst, params, original)
+        mu_rerun, rerun = sercon_original(inst, params, max_total_migrations=budget)
     assert report.attempts == rerun.attempts
     assert mu.assignment == mu_rerun.assignment
     assert (report.objective, report.migrated_mem, report.force_steps) == (
@@ -182,7 +177,7 @@ class TestSerconOriginalReplay:
             GenConfig(seed=seed, num_hosts=hosts, mode=mode, target_fill=0.6)
         )
         params = SolverParams(weights=ObjectiveWeights.from_mph(mph))
-        _replay_checked(inst, params, SerconOriginalParams(max_total_migrations=budget))
+        _replay_checked(inst, params, budget)
 
     def test_replays_are_exercised(self):
         replays = 0
@@ -190,7 +185,7 @@ class TestSerconOriginalReplay:
             inst = generate_instance(
                 GenConfig(seed=seed, num_hosts=20, mode="lopsided", target_fill=0.6)
             )
-            replays += _replay_checked(inst, INF_PARAMS, SerconOriginalParams())
+            replays += _replay_checked(inst, INF_PARAMS)
         assert replays > 0
 
 

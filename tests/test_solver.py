@@ -209,7 +209,7 @@ class TestForceFitBalanced:
         assert evicted == [GREEN]
         assert mu.host_of(RED) == 1
         assert mu.host_of(A) == 1
-        assert mu.load(1) == ResourceVec(4, 5)
+        assert mu.load_parts(1) == (4, 5)
 
     def test_migrated_residents_leave_first(self, fig2):
         # host1 holds red (migrated in) and a (original): red is excluded first
@@ -554,8 +554,8 @@ def _run_checked(inst: Instance, mph) -> None:
     params = params_for(mph)
     engine = ReleaseEngine(inst, params.weights)
 
-    def place(stashed, hosts, mu):
-        return force_fit(Stash(inst, stashed), hosts, mu, params)
+    def place(stashed):
+        return force_fit(Stash(inst, stashed), engine.hosts(), engine.mu, params)
 
     mu0 = engine.mu0
     _check_engine_state(engine, params)
@@ -577,7 +577,7 @@ class TestLowerBound:
 
     def test_skipped_attempt_leaves_the_mapping(self, fig2):
         engine = ReleaseEngine(fig2, params_for(0).weights)
-        attempt = engine.attempt(RED, lambda *args: pytest.fail("placed a skipped release"))
+        attempt = engine.attempt(RED, lambda stashed: pytest.fail("placed a skipped release"))
         assert (attempt.outcome, attempt.force_steps, attempt.class_counts) == ("skipped", 0, {})
         assert engine.mu.assignment == fig2.initial_mapping().assignment
 
@@ -586,7 +586,7 @@ ALGORITHMS = {"balcon": balcon, "sercon-mod": sercon_modified, "sercon-orig": se
 
 
 def _fitting(mu: Mapping, hosts, cpu: int, mem: int) -> list[int]:
-    return [g for g in hosts if cpu <= mu.free(g).cpu and mem <= mu.free(g).mem]
+    return [g for g in hosts if cpu <= mu.free_parts(g)[0] and mem <= mu.free_parts(g)[1]]
 
 
 def _run_room_checked(inst: Instance, mph, algo: str) -> Counter:
@@ -666,8 +666,9 @@ class TestRoomLists:
             asked.append(v)
             return real_room(v)
 
-        def place(stashed, hosts, mu):
-            results.append(force_fit(Stash(fig2, stashed), hosts, mu, INF_PARAMS, engine=engine))
+        def place(stashed):
+            hosts = engine.hosts()
+            results.append(force_fit(Stash(fig2, stashed), hosts, engine.mu, INF_PARAMS, engine=engine))
             return results[-1]
 
         engine.room = room
@@ -751,7 +752,8 @@ def _run_index_checked(inst: Instance, mph, algo: str) -> Counter:
         ran["sums"] += 1
         ran["after a release"] += any(a.released for a in engine.attempts)
         ran["moved besides h"] += bool(mu.moved_hosts().keys() - {h})
-        ran["h had free space"] += (load_c[h], load_m[h]) != mu.inst.capacity(h).as_tuple()
+        cap = mu.inst.capacity(h)
+        ran["h had free space"] += (load_c[h], load_m[h]) != (cap.cpu, cap.mem)
         return sums
 
     def engine_classify(engine, stash, alpha):
