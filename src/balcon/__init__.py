@@ -52,6 +52,7 @@ from .model import (
     instance_with_mapping,
     load_instance,
     migrated_memory,
+    migration_costs,
     objective,
     save_instance,
     surrogate_load,

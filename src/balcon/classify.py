@@ -53,15 +53,20 @@ class Stash:
 
     def __init__(self, inst: Instance, vm_ids: Iterable[int] = ()) -> None:
         self.inst = inst
-        self._heap: list[tuple[int, int]] = []
-        self._cpu = 0
-        self._mem = 0
-        self.extend(vm_ids)
+        vm_ids = tuple(vm_ids)
+        size = inst._size_num
+        # heap keys are unique, so the pop order does not depend on how the
+        # heap was built
+        self._heap = [(-size[v], v) for v in vm_ids]
+        heapq.heapify(self._heap)
+        self._cpu = sum([inst._vm_cpu[v] for v in vm_ids])
+        self._mem = sum([inst._vm_mem[v] for v in vm_ids])
 
     def push(self, v: int) -> None:
-        heapq.heappush(self._heap, (-self.inst.size_num(v), v))
-        self._cpu += self.inst.vm_cpu(v)
-        self._mem += self.inst.vm_mem(v)
+        inst = self.inst
+        heapq.heappush(self._heap, (-inst._size_num[v], v))
+        self._cpu += inst._vm_cpu[v]
+        self._mem += inst._vm_mem[v]
 
     def extend(self, vm_ids: Iterable[int]) -> None:
         for v in vm_ids:
@@ -73,8 +78,9 @@ class Stash:
 
     def pop(self) -> int:
         _, v = heapq.heappop(self._heap)
-        self._cpu -= self.inst.vm_cpu(v)
-        self._mem -= self.inst.vm_mem(v)
+        inst = self.inst
+        self._cpu -= inst._vm_cpu[v]
+        self._mem -= inst._vm_mem[v]
         return v
 
     @property

@@ -107,6 +107,8 @@ def _at_least(flag: str, value: int, low: int) -> int:
 
 
 def _solver_params(args) -> SolverParams:
+    if not 0 <= args.alpha <= 1:
+        raise ValueError(f"--alpha must lie in [0, 1], got {args.alpha}")
     return SolverParams(
         weights=ObjectiveWeights.from_mph(args.mph),
         alpha=args.alpha,

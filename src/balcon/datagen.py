@@ -59,6 +59,8 @@ class GenConfig:
             raise ValueError("target_fill must lie in (0, 1]")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        if self.host_capacity.cpu < 1:
+            raise ValueError(f"host cpu capacity must be at least 1, got {self.host_capacity.cpu}")
         if self.host_capacity.mem < 2:
             raise ValueError("host memory capacity must be at least 2")
 

@@ -30,6 +30,7 @@ __all__ = [
     "migrated_memory",
     "objective",
     "host_migration_cost",
+    "migration_costs",
     "vm_size",
     "surrogate_load",
     "instance_from_dict",
@@ -294,13 +295,13 @@ class Mapping:
         self._load_c = [0] * n_hosts
         self._load_m = [0] * n_hosts
         self._members: list[set[int]] = [set() for _ in range(n_hosts)]
-        for v, h in enumerate(self._host_of):
+        for v, (h, c, m) in enumerate(zip(self._host_of, inst._vm_cpu, inst._vm_mem)):
             if h is None:
                 continue
             if not 0 <= h < n_hosts:
                 raise ValueError(f"vm {v} mapped to unknown host {h}")
-            self._load_c[h] += inst.vm_cpu(v)
-            self._load_m[h] += inst.vm_mem(v)
+            self._load_c[h] += c
+            self._load_m[h] += m
             self._members[h].add(v)
         self._first: dict[int, int | None] | None = None
 
@@ -502,6 +503,17 @@ def host_migration_cost(h: int, mu: Mapping, mu0: Mapping) -> int:
     """Memory of the VMs on h that still sit on their original host."""
     inst = mu.inst
     return sum(inst.vm_mem(v) for v in mu.members(h) if mu0._host_of[v] == h)
+
+
+def migration_costs(mu: Mapping, mu0: Mapping) -> list[int]:
+    """``host_migration_cost(h, mu, mu0)`` of every host h, indexed by host,
+    in one pass over the VMs: a VM counts on its host in ``mu`` when that is
+    its host in ``mu0``.  The solvers order their release attempts by it."""
+    costs = [0] * len(mu.inst.hosts)
+    for h, h0, m in zip(mu._host_of, mu0._host_of, mu.inst._vm_mem):
+        if h == h0 and h is not None:
+            costs[h] += m
+    return costs
 
 
 def vm_size(v: int, inst: Instance) -> Fraction:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .model import Instance, Mapping, host_migration_cost
+from .model import Instance, Mapping, migration_costs
 from .solver import ForceFitResult, ReleaseEngine, RunReport, SolverParams, balcon, best_fit
 
 __all__ = ["sercon_modified", "sercon_original"]
@@ -59,7 +59,9 @@ def sercon_original(
 
     for _ in range(len(inst.hosts)):
         released_any = False
-        order = sorted(engine.active, key=lambda h: (host_migration_cost(h, mu, mu0), h))
+        # ascending cost; a stable sort of the ascending ``active`` breaks
+        # ties to the lower id
+        order = sorted(engine.active, key=migration_costs(mu, mu0).__getitem__)
         for h in order:
             moving = len(mu.members(h))
             # a host that failed with nothing accepted since fails alike

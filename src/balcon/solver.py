@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, cycle
 from typing import Callable, Optional, Sequence
@@ -24,7 +23,7 @@ from .model import (
     Instance,
     Mapping,
     ObjectiveWeights,
-    host_migration_cost,
+    migration_costs,
     objective,
 )
 
@@ -364,7 +363,7 @@ def force_fit_lopsided(v: int, h: int, mu: Mapping) -> list[int]:
 def _run_out_cycle(
     period: list[ClusterClass],
     steps: int,
-    counts: Counter[str],
+    counts: dict[str, int],
     limit: int,
     trace: TraceSink,
 ) -> ForceFitResult:
@@ -374,7 +373,8 @@ def _run_out_cycle(
     the attempt would go round them until the budget ran out.  Whole turns
     are added arithmetically, then the last partial turn is replayed up to
     the classification that finds the budget spent, so the result equals the
-    one the budget-exhausting loop returns.
+    one the budget-exhausting loop returns.  Every class in ``period`` has
+    been counted already, so ``counts`` holds its key.
     """
     p = sum(1 for cls in period if cls is not ClusterClass.AMPLE)
     if trace is not None:
@@ -387,13 +387,13 @@ def _run_out_cycle(
         counts[cls.value] += 1
         if cls is not ClusterClass.AMPLE:
             if steps >= limit:
-                return ForceFitResult(steps, dict(counts), False, _BUDGET_EXHAUSTED)
+                return ForceFitResult(steps, counts, False, _BUDGET_EXHAUSTED)
             steps += 1
 
 
 def force_fit(
     stash: Stash,
-    hosts: Sequence[int],
+    hosts: Sequence[int] | None,
     mu: Mapping,
     params: SolverParams,
     trace: TraceSink = None,
@@ -413,8 +413,11 @@ def force_fit(
     non-empty and the mapping stays partial, which the caller rejects.
 
     ``engine``, when given, is the ``ReleaseEngine`` whose attempt this is,
-    and ``hosts`` are that attempt's hosts (``engine.hosts()``).  Until the
-    first Force Step the engine serves two scans:
+    and ``hosts`` are that attempt's hosts, or None to have them built by
+    ``engine.hosts()`` at the first Force Step decision, just before the
+    first destination choice; an attempt that ends before it builds no host
+    list.  Without an engine, ``hosts`` is required.  Until the first Force
+    Step the engine serves two scans:
 
     - Best Fit scans ``engine.room(v)``, the attempt's hosts v may fit,
       instead of ``hosts``;
@@ -432,7 +435,7 @@ def force_fit(
     """
     limit = params.force_step_limit
     steps = 0
-    counts: Counter[str] = Counter()
+    counts: dict[str, int] = {}
     prohibitor = RepeatsProhibitor(params.repeat_limit)
     toggle = ResourceToggle("cpu")
     # Brent's cycle detection on the state between iterations: the
@@ -464,7 +467,7 @@ def force_fit(
             cls = engine.classify(stash, params.alpha)
         else:
             cls = classify(stash, hosts, mu, v, params.alpha)
-        counts[cls.value] += 1
+        counts[cls.value] = counts.get(cls.value, 0) + 1
         if snap_state is not None:
             period.append(cls)
         if dest is not None:
@@ -473,14 +476,16 @@ def force_fit(
                 trace({"event": "place", "class": cls.value, "vm": v, "host": dest})
             continue
         if steps >= limit:
-            return ForceFitResult(steps, dict(counts), False, _BUDGET_EXHAUSTED)
+            return ForceFitResult(steps, counts, False, _BUDGET_EXHAUSTED)
+        if hosts is None:
+            hosts = engine.hosts()
         if cls is ClusterClass.BALANCED:
             dest = choose_host_balanced(v, hosts, mu, prohibitor)
         else:
             dest = choose_host_lopsided(v, hosts, mu, prohibitor, toggle)
         if dest is None:
             # no host can hold v even when empty; the attempt cannot succeed
-            return ForceFitResult(steps, dict(counts), False, f"vm {v} fits no destination")
+            return ForceFitResult(steps, counts, False, f"vm {v} fits no destination")
         steps += 1
         stash.pop()
         if cls is ClusterClass.BALANCED:
@@ -498,7 +503,7 @@ def force_fit(
                     "evicted": list(evicted),
                 }
             )
-    return ForceFitResult(steps, dict(counts), True, None)
+    return ForceFitResult(steps, counts, True, None)
 
 
 class ReleaseEngine:
@@ -507,7 +512,9 @@ class ReleaseEngine:
 
     ``attempt(h, place)`` stashes the VMs of host h and hands them to the
     placement policy ``place(stashed)``, which places them on ``mu``; a
-    policy that scans the attempt's hosts asks ``hosts()`` for them.  The
+    policy that scans the attempt's hosts asks ``hosts()`` for them, and
+    only when it scans them (``force_fit`` at its first Force Step
+    decision), so an attempt that never scans builds no host list.  The
     result is kept when the policy completes, the mapping is feasible and
     the objective does not increase; otherwise the mapping is rolled back to
     where the attempt began.  An attempt on a non-empty host whose
@@ -518,7 +525,10 @@ class ReleaseEngine:
     ``lower_bound`` for why dropping each released host keeps it exact) and,
     for every VM demand ``(cpu, mem)`` asked about so far, its room list
     (``rooms``): the active hosts that fit the demand in the committed
-    mapping.  ``room(v)`` serves the placements of an attempt from it.
+    mapping, ascending.  ``room(v)`` serves the placements of an attempt from
+    it.  A commit updates each list in place, by one binary search per host
+    the attempt moved, so it costs O(moved hosts * log H) list operations
+    per built list rather than a rebuild.
 
     It also keeps a free-space angle index over ``active`` (``angles``: the
     committed free space sorted by fc / fm, with prefix sums), from which
@@ -570,7 +580,8 @@ class ReleaseEngine:
 
     def hosts(self) -> list[int]:
         """The hosts of the current attempt: ``active`` without the released
-        host, ascending, as a fresh list."""
+        host, ascending, as a fresh list.  It costs O(H), so a policy asks
+        for it only when it scans the hosts."""
         hosts = self.active.copy()
         h = self.releasing
         i = bisect_left(hosts, h)
@@ -591,26 +602,27 @@ class ReleaseEngine:
 
         A list is built at its first query, from the loads as of ``begin()``
         (``Mapping.committed_loads``), so that it stays valid after a
-        rollback; a commit updates the lists for the hosts it changed.
+        rollback; a commit updates it in place for the hosts it changed.
+        The list handed out may be the engine's own: it must not be changed,
+        and it is valid only until the next commit.  h is found by binary
+        search and, when present, left out of a copy.
         """
-        inst = self.mu.inst
+        mu = self.mu
+        inst = mu.inst
         key = (inst._vm_cpu[v], inst._vm_mem[v])
         room = self.rooms.get(key)
         if room is None:
-            room = self.rooms[key] = self._fitting(key, self.active)
+            c, m = key
+            cap_c, cap_m = inst._cap_cpu, inst._cap_mem
+            load_c, load_m = mu.committed_loads()
+            room = self.rooms[key] = [
+                g for g in self.active if cap_c[g] - load_c[g] >= c and cap_m[g] - load_m[g] >= m
+            ]
         h = self.releasing
-        if h in room:
-            room = room.copy()
-            room.remove(h)
+        i = bisect_left(room, h)
+        if i < len(room) and room[i] == h:
+            return room[:i] + room[i + 1 :]
         return room
-
-    def _fitting(self, key: tuple[int, int], hosts: list[int]) -> list[int]:
-        # the hosts that fit the demand key in the committed mapping
-        c, m = key
-        inst = self.mu.inst
-        cap_c, cap_m = inst._cap_cpu, inst._cap_mem
-        load_c, load_m = self.mu.committed_loads()
-        return [g for g in hosts if cap_c[g] - load_c[g] >= c and cap_m[g] - load_m[g] >= m]
 
     def classify(self, stash: Stash, alpha: Fraction) -> ClusterClass:
         """Balanced or Lopsided for the stash of the current attempt, whose
@@ -629,8 +641,8 @@ class ReleaseEngine:
         s_cpu)``.  In the hosts sorted by free-space ratio fc / fm (fm = 0
         last), ``fc * s_mem < fm * s_cpu`` holds exactly on a prefix, the
         hosts whose ratio is below s_cpu / s_mem, so with PC and PM the
-        prefix sums of fc and fm and k the prefix length (a binary search by
-        integer cross-multiplication)
+        prefix sums of fc and fm and k the prefix length (an inline binary
+        search by integer cross-multiplication, with no call per probe)
 
             cap_num = s_mem * PC[k] + s_cpu * (PM[n] - PM[k]),
             sum_c = PC[n],  sum_m = PM[n].
@@ -650,7 +662,14 @@ class ReleaseEngine:
         if self.angles is None:
             self._build_angles()
         fcs, fms, pc, pm = self.angles
-        k = bisect_left(range(len(fcs)), True, key=lambda i: fcs[i] * s_mem >= fms[i] * s_cpu)
+        # k: the first index with fc * s_mem >= fm * s_cpu
+        k, hi = 0, len(fcs)
+        while k < hi:
+            mid = (k + hi) // 2
+            if fcs[mid] * s_mem < fms[mid] * s_cpu:
+                k = mid + 1
+            else:
+                hi = mid
         sum_c, sum_m = pc[-1], pm[-1]
         cap_num = s_mem * pc[k] + s_cpu * (sum_m - pm[k])
         mu = self.mu
@@ -686,21 +705,29 @@ class ReleaseEngine:
         self.angles = (fcs, fms, [0, *accumulate(fcs)], [0, *accumulate(fms)])
 
     def _commit(self) -> None:
-        # keep the attempt, drop the angle index and bring the built room
-        # lists up to date for the hosts whose load changed; a released host
-        # is empty and drops out
+        # keep the attempt, drop the angle index and update the built room
+        # lists in place for the hosts whose load changed: one binary search
+        # per list and moved host, then a delete or an insert where fitting
+        # changed; a released host is empty and drops out
         mu = self.mu
         moved = mu.moved_hosts() if self.rooms or self.angles else ()
         mu.commit()
         if not moved:
             return
         self.angles = None
-        refit = sorted(g for g in moved if mu._members[g])
-        rooms = self.rooms
-        for key, room in rooms.items():
-            kept = [g for g in room if g not in moved]
-            added = self._fitting(key, refit)
-            rooms[key] = sorted(kept + added) if added else kept
+        inst = mu.inst
+        cap_c, cap_m = inst._cap_cpu, inst._cap_mem
+        load_c, load_m, members = mu._load_c, mu._load_m, mu._members
+        free = [(g, cap_c[g] - load_c[g], cap_m[g] - load_m[g], bool(members[g])) for g in moved]
+        for (c, m), room in self.rooms.items():
+            for g, fc, fm, used in free:
+                i = bisect_left(room, g)
+                listed = i < len(room) and room[i] == g
+                if used and fc >= c and fm >= m:
+                    if not listed:
+                        room.insert(i, g)
+                elif listed:
+                    del room[i]
 
     def lower_bound(self, h: int) -> object:
         """A lower bound on the objective of any mapping that releasing the
@@ -803,7 +830,16 @@ class ReleaseEngine:
         last = self.failed.get(h)
         if last is None:
             return None
-        attempt = replace(last, class_counts=dict(last.class_counts))
+        attempt = ReleaseAttempt(
+            last.host,
+            last.accepted,
+            last.released,
+            last.force_steps,
+            dict(last.class_counts),
+            last.objective_after,
+            last.migrated_after,
+            last.outcome,
+        )
         self.force_steps += attempt.force_steps
         self.attempts.append(attempt)
         return attempt
@@ -886,15 +922,17 @@ def balcon(
     """Run the consolidation heuristic and return the best mapping found.
 
     Hosts are attempted once each, in ascending order of their initial
-    migration cost; ForceFit places each attempt's stash.  The worst case
-    returns the initial mapping unchanged.
+    migration cost, ties to the lower id; ForceFit places each attempt's
+    stash and builds the attempt's host list only if it takes a Force Step
+    decision.  The worst case returns the initial mapping unchanged.
     """
     engine = ReleaseEngine(inst, params.weights, trace)
-    mu0 = engine.mu0
+    costs = migration_costs(engine.mu0, engine.mu0)
 
     def place(stashed: tuple[int, ...]) -> ForceFitResult:
-        return force_fit(Stash(inst, stashed), engine.hosts(), engine.mu, params, trace, engine)
+        return force_fit(Stash(inst, stashed), None, engine.mu, params, trace, engine)
 
-    for h in sorted(range(len(inst.hosts)), key=lambda h: (host_migration_cost(h, mu0, mu0), h)):
+    # a stable sort of the ascending ids breaks cost ties to the lower id
+    for h in sorted(range(len(inst.hosts)), key=costs.__getitem__):
         engine.attempt(h, place)
     return engine.report(algorithm)

@@ -186,6 +186,19 @@ class TestFlagRanges:
         assert f"error: {flag} must be at least" in capsys.readouterr().err
         assert not (tmp_path / "eval").exists()
 
+    @pytest.mark.parametrize("value", ["2", "-1/2"])
+    def test_solve_names_alpha(self, value, fig2_path, tmp_path, capsys):
+        out = tmp_path / "result.json"
+        assert main(["solve", f"--alpha={value}", "-o", str(out), str(fig2_path)]) == 2
+        assert f"error: --alpha must lie in [0, 1], got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["2", "-1/2"])
+    def test_eval_names_alpha(self, value, fig2_path, tmp_path, capsys):
+        assert main(["eval", f"--alpha={value}", "--out-dir", str(tmp_path / "eval"), str(fig2_path)]) == 2
+        assert f"error: --alpha must lie in [0, 1], got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
 
 class TestGenerate:
     def test_deterministic_output(self, tmp_path):
@@ -201,6 +214,12 @@ class TestGenerate:
         out = tmp_path / "u.json"
         assert main(["generate", "--mode", "uniform", "--seed", "3", "--hosts", "4", "-o", str(out)]) == 0
         assert load_instance(out).initial_mapping().is_feasible()
+
+    def test_zero_cpu_capacity(self, tmp_path, capsys):
+        out = tmp_path / "z.json"
+        assert main(["generate", "--cpu", "0", "--seed", "1", "--hosts", "4", "-o", str(out)]) == 2
+        assert "error: host cpu capacity must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOracle:

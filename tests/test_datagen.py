@@ -138,6 +138,10 @@ class TestGeneration:
         with pytest.raises(ValueError):
             GenConfig(seed=0, num_hosts=1, host_capacity=ResourceVec(4, 1))
 
+    def test_zero_cpu_capacity_rejected(self):
+        with pytest.raises(ValueError, match="host cpu capacity must be at least 1, got 0"):
+            GenConfig(seed=0, num_hosts=1, host_capacity=ResourceVec(0, 32))
+
 
 class TestBalanceFactorOfInstances:
     def test_fig2_value(self, fig2):

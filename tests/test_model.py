@@ -22,6 +22,7 @@ from balcon import (
     instance_to_dict,
     instance_with_mapping,
     migrated_memory,
+    migration_costs,
     objective,
     surrogate_load,
     vm_size,
@@ -144,6 +145,19 @@ class TestHostMigrationCost:
         mu = Mapping(fig2, [1, 1, 2, 2, 1])
         # host 1 holds red (from 0), a (original), yellow (from 2)
         assert host_migration_cost(1, mu, mu0) == 2
+
+    @given(st.integers(0, 2**32))
+    def test_migration_costs_match_per_host(self, seed):
+        # every host's entry against the per-host reference, at the initial
+        # mapping and at a random partial reassignment of it
+        rng = random.Random(seed)
+        inst = random_instance(rng)
+        mu0 = inst.initial_mapping()
+        hosts = [None, *range(len(inst.hosts))]
+        mu = Mapping(inst, [rng.choice(hosts) if rng.random() < 0.5 else h for h in mu0.assignment])
+        for m in (mu0, mu):
+            costs = migration_costs(m, mu0)
+            assert costs == [host_migration_cost(h, m, mu0) for h in range(len(inst.hosts))]
 
 
 class TestScalarMeasures:

@@ -678,6 +678,59 @@ class TestRoomLists:
         assert asked == [B]
 
 
+def _count_host_lists(inst: Instance, weights: ObjectiveWeights, algo: str) -> list[tuple]:
+    """Run one algorithm and return, per attempt that was not skipped, the
+    ``ReleaseEngine.hosts()`` calls it made and its destination choices."""
+    import balcon.solver as solver
+
+    per_attempt, calls = [], Counter()
+    real_attempt, real_hosts = ReleaseEngine.attempt, ReleaseEngine.hosts
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    def attempt(engine, h, place):
+        calls.clear()
+        out = real_attempt(engine, h, place)
+        if out.outcome != "skipped":
+            per_attempt.append((calls["hosts"], calls["choose"]))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ReleaseEngine, "attempt", attempt)
+        mp.setattr(ReleaseEngine, "hosts", counted("hosts", real_hosts))
+        for name in ("choose_host_balanced", "choose_host_lopsided"):
+            mp.setattr(solver, name, counted("choose", getattr(solver, name)))
+        ALGORITHMS[algo](inst, SolverParams(weights=weights))
+    return per_attempt
+
+
+class TestHostList:
+    @pytest.mark.parametrize("algo", ["sercon-mod", "sercon-orig"])
+    def test_baselines_build_none(self, algo):
+        runs = [
+            _count_host_lists(inst, weights, algo)
+            for _, inst, weights in BASELINE_GROUPS["lopsided-300-hosts"]()
+        ]
+        assert sum(map(len, runs)) > 0
+        assert all(calls == (0, 0) for run in runs for calls in run)
+
+    def test_balcon_builds_one_at_the_first_force_step_decision(self):
+        # at most one list per attempt, and none for an attempt that ends
+        # before its first destination choice
+        seen = Counter()
+        runs = [*GOLDEN_GROUPS["twins-12-hosts"](), *BASELINE_GROUPS["lopsided-20-hosts"]()]
+        for _, inst, weights in runs:
+            for hosts, choices in _count_host_lists(inst, weights, "balcon"):
+                assert hosts == min(choices, 1), (hosts, choices)
+                seen[hosts] += 1
+        assert seen[0] > 0 and seen[1] > 0, seen
+
+
 def _run_objective_checked(inst: Instance, weights: ObjectiveWeights, algo: str) -> int:
     """Run one algorithm with the engine's running ``best_obj`` and
     ``best_mig`` checked against ``objective`` and ``migrated_memory``
