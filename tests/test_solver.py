@@ -32,6 +32,7 @@ from balcon import (
     migrated_memory,
     objective,
 )
+import balcon.solver as solver
 from balcon.sercon import sercon_modified, sercon_original
 from balcon.classify import classify
 from balcon.solver import ReleaseEngine, free_ratio_key
@@ -681,8 +682,6 @@ class TestRoomLists:
 def _count_host_lists(inst: Instance, weights: ObjectiveWeights, algo: str) -> list[tuple]:
     """Run one algorithm and return, per attempt that was not skipped, the
     ``ReleaseEngine.hosts()`` calls it made and its destination choices."""
-    import balcon.solver as solver
-
     per_attempt, calls = [], Counter()
     real_attempt, real_hosts = ReleaseEngine.attempt, ReleaseEngine.hosts
 
