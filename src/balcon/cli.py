@@ -74,11 +74,22 @@ def parse_mph(text: str) -> Fraction | float:
     return value
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _mph_flag(text: str) -> Fraction | float:
+    # argparse shows an ArgumentTypeError's own message; any other error
+    # becomes "invalid <function name> value"
     try:
-        return Fraction(text)
+        return parse_mph(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _rational_flag(text: str) -> str:
+    # the text as given, once it parses, so that a range error can quote it
+    try:
+        Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational value {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad rational value {text!r}") from exc
+    return text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,9 +100,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mph", type=parse_mph, default=math.inf,
+    parser.add_argument("--mph", type=_mph_flag, default=math.inf,
                         help="migration budget per released host (units, KiB/MiB/GiB/TiB suffix, or 'inf')")
-    parser.add_argument("--alpha", type=_parse_fraction, default=DEFAULT_ALPHA,
+    parser.add_argument("--alpha", type=_rational_flag, default=str(DEFAULT_ALPHA),
                         help="balanced/lopsided threshold (default 0.95)")
     parser.add_argument("--force-steps", type=int, default=DEFAULT_FORCE_STEP_LIMIT,
                         help=f"force-step budget per release attempt (default {DEFAULT_FORCE_STEP_LIMIT})")
@@ -107,11 +118,12 @@ def _at_least(flag: str, value: int, low: int) -> int:
 
 
 def _solver_params(args) -> SolverParams:
-    if not 0 <= args.alpha <= 1:
+    alpha = Fraction(args.alpha)
+    if not 0 <= alpha <= 1:
         raise ValueError(f"--alpha must lie in [0, 1], got {args.alpha}")
     return SolverParams(
         weights=ObjectiveWeights.from_mph(args.mph),
-        alpha=args.alpha,
+        alpha=alpha,
         force_step_limit=_at_least("--force-steps", args.force_steps, 0),
         repeat_limit=_at_least("--gamma", args.gamma, 1),
     )
@@ -181,6 +193,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if not 0 < args.fill <= 1:
+        raise ValueError(f"--fill must lie in (0, 1], got {args.fill}")
     cfg = GenConfig(
         seed=args.seed,
         num_hosts=args.hosts,
@@ -200,7 +214,11 @@ def cmd_generate(args) -> int:
 
 def cmd_oracle(args) -> int:
     inst = load_instance(args.instance)
-    limits = OracleLimits(args.max_vms, args.max_hosts, args.node_budget)
+    limits = OracleLimits(
+        _at_least("--max-vms", args.max_vms, 1),
+        _at_least("--max-hosts", args.max_hosts, 1),
+        _at_least("--node-budget", args.node_budget, 1),
+    )
     result = brute_force_optimal(inst, ObjectiveWeights.from_mph(args.mph), limits)
     _emit_instance(instance_with_mapping(inst, result.mapping), args.output)
     obj = result.objective
@@ -380,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact optimum for a tiny instance")
     p.add_argument("instance")
-    p.add_argument("--mph", type=parse_mph, default=math.inf)
+    p.add_argument("--mph", type=_mph_flag, default=math.inf)
     p.add_argument("--max-vms", type=int, default=OracleLimits.max_vms)
     p.add_argument("--max-hosts", type=int, default=OracleLimits.max_hosts)
     p.add_argument("--node-budget", type=int, default=OracleLimits.node_budget)
@@ -390,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-ilp", help="emit LP-format integer programs")
     p.add_argument("instance")
     p.add_argument("--model", choices=sorted(_MODEL_CHOICES), default="all")
-    p.add_argument("--mph", type=parse_mph, default=math.inf)
+    p.add_argument("--mph", type=_mph_flag, default=math.inf)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_export_ilp)
 

@@ -28,6 +28,12 @@ class OracleLimits:
     max_hosts: int = 4
     node_budget: int = 10_000_000
 
+    def __post_init__(self) -> None:
+        for name in ("max_vms", "max_hosts", "node_budget"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+
 
 class OracleSizeError(ValueError):
     """The instance exceeds the oracle's enumeration limits."""

@@ -10,17 +10,19 @@ active hosts repeatedly until a pass releases nothing (or a pass budget of
 placement, and additionally honors a total migration budget.  A host whose
 last attempt failed with no release accepted since is not re-run: the
 engine records that attempt again (``ReleaseEngine.replay``).  Both baselines
-run on the release-attempt engine of the main heuristic, and both place VMs
-by ``best_fit``.  The exact rule set of the historical heuristic is not
-published in a reusable form, so this variant is an approximation and is
-kept out of the fidelity gates.
+run on the release-attempt engine of the main heuristic, both place VMs by
+the engine's Best Fit (``ReleaseEngine.best_fit``), and both let the engine
+decide an attempt whose largest VM fits nowhere without opening it.  The
+exact rule set of the historical heuristic is not published in a reusable
+form, so this variant is an approximation and is kept out of the fidelity
+gates.
 """
 from __future__ import annotations
 
 from dataclasses import replace
 
 from .model import Instance, Mapping, migration_costs
-from .solver import ForceFitResult, ReleaseEngine, RunReport, SolverParams, balcon, best_fit
+from .solver import ForceFitResult, ReleaseEngine, RunReport, SolverParams, balcon
 
 __all__ = ["sercon_modified", "sercon_original"]
 
@@ -45,17 +47,26 @@ def sercon_original(
     size = inst._size_num
     migrations_used = 0
 
+    def over_budget(stashed: tuple[int, ...]) -> bool:
+        return max_total_migrations is not None and (
+            migrations_used + len(stashed) > max_total_migrations
+        )
+
     def place(stashed: tuple[int, ...]) -> ForceFitResult:
         # all or nothing, largest VM first; the attempt ends at the first VM
         # that fits nowhere
-        if max_total_migrations is not None and (
-            migrations_used + len(stashed) > max_total_migrations
-        ):
+        if over_budget(stashed):
             return ForceFitResult(0, {}, False, "migration budget exhausted")
         for v in sorted(stashed, key=lambda x: (-size[x], x)):
-            if best_fit(v, engine.room(v), mu) is None:
+            if engine.best_fit(v) is None:
                 return ForceFitResult(0, {}, False, f"vm {v} fits no host")
         return ForceFitResult(0, {}, True)
+
+    def miss(v: int, stashed: tuple[int, ...]) -> ForceFitResult:
+        # place's result when its first VM v fits no host, without placing
+        if over_budget(stashed):
+            return ForceFitResult(0, {}, False, "migration budget exhausted")
+        return ForceFitResult(0, {}, False, f"vm {v} fits no host")
 
     for _ in range(len(inst.hosts)):
         released_any = False
@@ -66,7 +77,7 @@ def sercon_original(
             moving = len(mu.members(h))
             # a host that failed with nothing accepted since fails alike
             # (``place`` reads only the engine and the budget used)
-            if (engine.replay(h) or engine.attempt(h, place)).accepted:
+            if (engine.replay(h) or engine.attempt(h, place, miss)).accepted:
                 released_any = True
                 migrations_used += moving
         if not released_any:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, cycle
@@ -186,8 +186,8 @@ def best_fit(v: int, hosts: Sequence[int], mu: Mapping) -> int | None:
 
     Returns None, leaving ``mu`` untouched, when v fits none of the hosts.
     Only fitting hosts count, so ``hosts`` may be any ascending superset of
-    the fitting ones, such as ``ReleaseEngine.room(v)``: the choice is the
-    same.
+    the fitting ones: the choice is the same.  ``ReleaseEngine.best_fit``
+    makes the same choice from its load-ordered room lists.
     """
     inst = mu.inst
     vc, vm = inst._vm_cpu[v], inst._vm_mem[v]
@@ -419,12 +419,13 @@ def force_fit(
     list.  Without an engine, ``hosts`` is required.  Until the first Force
     Step the engine serves two scans:
 
-    - Best Fit scans ``engine.room(v)``, the attempt's hosts v may fit,
-      instead of ``hosts``;
+    - Best Fit is ``engine.best_fit(v)``, which reads the head of v's
+      load-ordered room list and the attempt's destinations instead of
+      scanning ``hosts``;
     - when v fits none of them, ``engine.classify`` tells Balanced from
       Lopsided from its free-space angle index instead of ``classify``'s
       scan of ``hosts``.  It skips the Ample test, which is sound because
-      Best Fit has just found no host in a superset of the hosts that fit v.
+      Best Fit has just found no host of the attempt that fits v.
 
     Both rest on loads having changed only on the hosts the attempt moved
     VMs to or from.  A Force Step can lower a host's load by its evictions,
@@ -460,11 +461,11 @@ def force_fit(
                 power = max(2 * power, 1)
         v = stash.peek()
         fresh = engine is not None and not steps
-        dest = best_fit(v, engine.room(v) if fresh else hosts, mu)
+        dest = engine.best_fit(v) if fresh else best_fit(v, hosts, mu)
         if dest is not None:
             cls = ClusterClass.AMPLE
         elif fresh:
-            cls = engine.classify(stash, params.alpha)
+            cls = engine.classify(stash.cpu_total, stash.mem_total, params.alpha)
         else:
             cls = classify(stash, hosts, mu, v, params.alpha)
         counts[cls.value] = counts.get(cls.value, 0) + 1
@@ -510,8 +511,8 @@ class ReleaseEngine:
     """Release attempts on one mapping, each kept or undone by the objective
     test; shared by ``balcon`` and the Sercon baselines.
 
-    ``attempt(h, place)`` stashes the VMs of host h and hands them to the
-    placement policy ``place(stashed)``, which places them on ``mu``; a
+    ``attempt(h, place, miss)`` stashes the VMs of host h and hands them to
+    the placement policy ``place(stashed)``, which places them on ``mu``; a
     policy that scans the attempt's hosts asks ``hosts()`` for them, and
     only when it scans them (``force_fit`` at its first Force Step
     decision), so an attempt that never scans builds no host list.  The
@@ -521,14 +522,29 @@ class ReleaseEngine:
     ``lower_bound`` exceeds the best objective is skipped before the mapping
     is touched.
 
+    A policy that places the stash's largest VM first (by
+    ``Instance._size_num``, ties to the lower id) and ends the attempt when
+    that VM fits no host may also pass ``miss(v, stashed)``: its result in
+    that case, computed without placing anything.  Before opening the
+    attempt the engine then probes that VM v.  Until the first placement
+    every host but h has its committed load, so v fits a host of the
+    attempt iff v's room list holds a host other than h.  If it holds none,
+    the attempt is recorded from ``miss`` and the mapping is not touched:
+    no ``begin``, no unassign, no rollback.  ``balcon`` passes ``miss`` only
+    with a zero Force Step budget; with a positive one a Force Step follows
+    the miss.
+
     The engine keeps the active hosts in ascending order (``active``; see
     ``lower_bound`` for why dropping each released host keeps it exact) and,
     for every VM demand ``(cpu, mem)`` asked about so far, its room list
     (``rooms``): the active hosts that fit the demand in the committed
-    mapping, ascending.  ``room(v)`` serves the placements of an attempt from
-    it.  A commit updates each list in place, by one binary search per host
-    the attempt moved, so it costs O(moved hosts * log H) list operations
-    per built list rather than a rebuild.
+    mapping, ordered by committed surrogate load, highest first, ties to the
+    lower id (``room``).  ``best_fit(v)`` serves the direct placements of an
+    attempt from it until the attempt's first Force Step, in O(1 +
+    destinations) rather than a scan of the list.  A commit moves each host
+    the attempt moved within each built list, by binary searches at its old
+    and its new load, so it costs O(moved hosts * log H) comparisons per
+    built list rather than a rebuild.
 
     It also keeps a free-space angle index over ``active`` (``angles``: the
     committed free space sorted by fc / fm, with prefix sums), from which
@@ -571,10 +587,13 @@ class ReleaseEngine:
         self.cap_active_c = sum(cap_c[g] for g in active)
         self.cap_active_m = sum(cap_m[g] for g in active)
         self.lost_mem = 0
-        self.rooms: dict[tuple[int, int], list[int]] = {}
+        self.rooms: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        # the scale of the room lists' load keys; see ``room``
+        self.load_scale = max(map(int.__mul__, cap_c, cap_m), default=1) ** 2
         self.angles: tuple[list[int], list[int], list[int], list[int]] | None = None
         self.angle_key = free_ratio_key(max(cap_m, default=0), max(cap_c, default=0))
         self.releasing: int | None = None  # the host of the current attempt
+        self.dests: set[int] = set()  # where ``best_fit`` placed in this attempt
         # each host's last attempt, if it failed, since the last commit
         self.failed: dict[int, ReleaseAttempt] = {}
 
@@ -589,46 +608,100 @@ class ReleaseEngine:
             del hosts[i]
         return hosts
 
-    def room(self, v: int) -> list[int]:
-        """The hosts of the current attempt, ascending, that VM v may fit
-        before the attempt's first Force Step; read-only.
+    def room(self, v: int) -> list[tuple[int, int]]:
+        """The room list of VM v's demand: ``(-key, g)`` for each active host
+        g that fits the demand at its committed load, ascending, so that the
+        hosts come by committed surrogate load, highest first, ties to the
+        lower id.  The list may hold the released host; it is the engine's
+        own, so it must not be changed, and it is valid until the next
+        commit.
 
-        This is the room list of v's demand without the released host h.
-        Until the first Force Step, loads change only by unassigning h's VMs
-        and by direct placements, which only raise loads.  So a host other
-        than h that fits v now fitted v's demand at the last commit, and the
-        list holds every host of the attempt that fits v.  A Force Step's
-        evictions can lower a load, so the list no longer serves after one.
+        The key is g's surrogate load num / den = (lc * cap_m + lm * cap_c) /
+        (cap_c * cap_m) as the exact integer ``num * S // den`` with S =
+        ``load_scale`` = D * D and D the largest cap_c * cap_m, argued like
+        ``free_ratio_key``: equal loads get equal keys, and two distinct
+        loads a/b < c/d with 1 <= b, d <= D differ by at least 1 / D**2, so
+        c * S / d >= a * S / b + 1 and the floors keep their order.
 
         A list is built at its first query, from the loads as of ``begin()``
         (``Mapping.committed_loads``), so that it stays valid after a
-        rollback; a commit updates it in place for the hosts it changed.
-        The list handed out may be the engine's own: it must not be changed,
-        and it is valid only until the next commit.  h is found by binary
-        search and, when present, left out of a copy.
+        rollback; a commit moves each host it changed within the list.
+        Until an attempt's first Force Step, loads change only by
+        unassigning h's VMs and by direct placements, which only raise
+        loads.  So a host of the attempt that fits v now fitted v's demand
+        at the last commit and is listed, and every listed host that took no
+        placement still has its listed load.
         """
-        mu = self.mu
-        inst = mu.inst
+        inst = self.mu.inst
         key = (inst._vm_cpu[v], inst._vm_mem[v])
         room = self.rooms.get(key)
         if room is None:
             c, m = key
             cap_c, cap_m = inst._cap_cpu, inst._cap_mem
-            load_c, load_m = mu.committed_loads()
-            room = self.rooms[key] = [
-                g for g in self.active if cap_c[g] - load_c[g] >= c and cap_m[g] - load_m[g] >= m
-            ]
-        h = self.releasing
-        i = bisect_left(room, h)
-        if i < len(room) and room[i] == h:
-            return room[:i] + room[i + 1 :]
+            load_c, load_m = self.mu.committed_loads()
+            entry = self._entry
+            room = self.rooms[key] = sorted(
+                [
+                    entry(g, load_c[g], load_m[g])
+                    for g in self.active
+                    if cap_c[g] - load_c[g] >= c and cap_m[g] - load_m[g] >= m
+                ]
+            )
         return room
 
-    def classify(self, stash: Stash, alpha: Fraction) -> ClusterClass:
-        """Balanced or Lopsided for the stash of the current attempt, whose
-        largest VM fits none of the attempt's hosts; before the attempt's
-        first Force Step only."""
-        s_cpu, s_mem = stash.cpu_total, stash.mem_total
+    def _entry(self, g: int, lc: int, lm: int) -> tuple[int, int]:
+        # host g's room-list entry at the load (lc, lm); see ``room``
+        inst = self.mu.inst
+        cc, cm = inst._cap_cpu[g], inst._cap_mem[g]
+        return (-((lc * cm + lm * cc) * self.load_scale // (cc * cm)), g)
+
+    def best_fit(self, v: int) -> int | None:
+        """``best_fit(v, self.hosts(), self.mu)``, before the current
+        attempt's first Force Step only, in O(1 + destinations).
+
+        The hosts of the attempt that fit v are the listed ones (``room``).
+        Those that took no placement in this attempt come in the list by
+        their current load, so the best of them is the first listed host
+        that is neither h nor a destination.  The destinations, the hosts
+        this method placed on since the attempt began, are compared with it
+        exactly, by cross-multiplication, ties to the lower id, when they
+        still fit v.
+        """
+        mu = self.mu
+        h, dests = self.releasing, self.dests
+        choice = None
+        for _, g in self.room(v):
+            if g != h and g not in dests:
+                choice = g
+                break
+        if dests:
+            inst = mu.inst
+            vc, vm = inst._vm_cpu[v], inst._vm_mem[v]
+            cap_c, cap_m = inst._cap_cpu, inst._cap_mem
+            load_c, load_m = mu._load_c, mu._load_m
+            # the best surrogate load so far as num / den; -1 is below every load
+            best_num, best_den = -1, 1
+            if choice is not None:
+                cc, cm = cap_c[choice], cap_m[choice]
+                best_num, best_den = load_c[choice] * cm + load_m[choice] * cc, cc * cm
+            for g in dests:
+                lc, lm, cc, cm = load_c[g], load_m[g], cap_c[g], cap_m[g]
+                if cc - lc < vc or cm - lm < vm:
+                    continue
+                num, den = lc * cm + lm * cc, cc * cm
+                if num * best_den > best_num * den or (
+                    num * best_den == best_num * den and g < choice
+                ):
+                    choice, best_num, best_den = g, num, den
+        if choice is not None:
+            mu.assign(v, choice)
+            dests.add(choice)
+        return choice
+
+    def classify(self, s_cpu: int, s_mem: int, alpha: Fraction) -> ClusterClass:
+        """Balanced or Lopsided for a stash of total demand (s_cpu, s_mem)
+        whose largest VM fits none of the current attempt's hosts; before
+        the attempt's first Force Step only."""
         return split_class(*self.free_sums(s_cpu, s_mem), s_cpu, s_mem, alpha)
 
     def free_sums(self, s_cpu: int, s_mem: int) -> tuple[int, int, int]:
@@ -657,7 +730,8 @@ class ReleaseEngine:
         the committed term, fc and fm of each host of that set, plus the
         current ones of each such host but h, are exactly the sums over the
         attempt's hosts; ``moved_hosts`` gives the committed loads of that
-        set.
+        set.  With no attempt open, as for ``attempt``'s first-miss probe,
+        no host has moved and h holds its committed load.
         """
         if self.angles is None:
             self._build_angles()
@@ -677,7 +751,7 @@ class ReleaseEngine:
         cap_c, cap_m = inst._cap_cpu, inst._cap_mem
         load_c, load_m = mu._load_c, mu._load_m
         h = self.releasing
-        moved = mu.moved_hosts()
+        moved = mu.moved_hosts() if mu._first is not None else {}
         moved.setdefault(h, (load_c[h], load_m[h]))
         for g, (old_c, old_m) in moved.items():
             fc, fm = cap_c[g] - old_c, cap_m[g] - old_m
@@ -705,10 +779,10 @@ class ReleaseEngine:
         self.angles = (fcs, fms, [0, *accumulate(fcs)], [0, *accumulate(fms)])
 
     def _commit(self) -> None:
-        # keep the attempt, drop the angle index and update the built room
-        # lists in place for the hosts whose load changed: one binary search
-        # per list and moved host, then a delete or an insert where fitting
-        # changed; a released host is empty and drops out
+        # keep the attempt, drop the angle index and move each host whose
+        # load changed within each built room list: out at its entry for the
+        # load as of begin() if it fitted then, in at its new entry if it
+        # fits now; a released host is empty and drops out
         mu = self.mu
         moved = mu.moved_hosts() if self.rooms or self.angles else ()
         mu.commit()
@@ -717,17 +791,21 @@ class ReleaseEngine:
         self.angles = None
         inst = mu.inst
         cap_c, cap_m = inst._cap_cpu, inst._cap_mem
-        load_c, load_m, members = mu._load_c, mu._load_m, mu._members
-        free = [(g, cap_c[g] - load_c[g], cap_m[g] - load_m[g], bool(members[g])) for g in moved]
+        load_c, load_m, members, entry = mu._load_c, mu._load_m, mu._members, self._entry
+        changes = []
+        for g, (old_c, old_m) in moved.items():
+            lc, lm = load_c[g], load_m[g]
+            new = entry(g, lc, lm) if members[g] else None
+            changes.append(
+                (cap_c[g] - old_c, cap_m[g] - old_m, entry(g, old_c, old_m),
+                 cap_c[g] - lc, cap_m[g] - lm, new)
+            )
         for (c, m), room in self.rooms.items():
-            for g, fc, fm, used in free:
-                i = bisect_left(room, g)
-                listed = i < len(room) and room[i] == g
-                if used and fc >= c and fm >= m:
-                    if not listed:
-                        room.insert(i, g)
-                elif listed:
-                    del room[i]
+            for old_fc, old_fm, old, fc, fm, new in changes:
+                if old_fc >= c and old_fm >= m:
+                    del room[bisect_left(room, old)]
+                if new is not None and fc >= c and fm >= m:
+                    insort(room, new)
 
     def lower_bound(self, h: int) -> object:
         """A lower bound on the objective of any mapping that releasing the
@@ -770,20 +848,26 @@ class ReleaseEngine:
         self,
         h: int,
         place: Callable[[tuple[int, ...]], ForceFitResult],
+        miss: Callable[[int, tuple[int, ...]], ForceFitResult] | None = None,
     ) -> ReleaseAttempt:
         mu, trace = self.mu, self.trace
         steps, counts, released = 0, {}, False
         if mu._members[h] and self.lower_bound(h) > self.best_obj:
             outcome = SKIPPED
         else:
-            mu.begin()
             self.releasing = h
             stashed = mu.vms_on(h)
-            for v in stashed:
-                mu.unassign(v)
             if trace is not None:
                 trace({"event": "release_attempt", "host": h, "stash": list(stashed)})
-            result = place(stashed)
+            first = self._first_miss(stashed) if miss is not None and stashed else None
+            if first is not None:
+                result = miss(first, stashed)
+            else:
+                mu.begin()
+                self.dests.clear()
+                for v in stashed:
+                    mu.unassign(v)
+                result = place(stashed)
             steps, counts = result.force_steps, result.class_counts
             self.force_steps += steps
             outcome = self._judge(result, emptied=bool(stashed))
@@ -797,7 +881,7 @@ class ReleaseEngine:
                     self.cap_active_c -= inst._cap_cpu[h]
                     self.cap_active_m -= inst._cap_mem[h]
                     self.lost_mem += self.init_mem[h]
-            else:
+            elif first is None:
                 mu.rollback()
         accepted = outcome == ACCEPTED
         attempt = ReleaseAttempt(
@@ -816,6 +900,16 @@ class ReleaseEngine:
         if trace is not None:
             trace({"event": "release_result", "host": h, "accepted": accepted, "outcome": outcome})
         return attempt
+
+    def _first_miss(self, stashed: tuple[int, ...]) -> int | None:
+        # the largest VM of h's stash if it fits no host of the attempt,
+        # else None; h's VMs are still on h and no other host has moved
+        v = max(stashed, key=self.mu.inst._size_num.__getitem__)
+        h = self.releasing
+        for _, g in self.room(v):
+            if g != h:
+                return None
+        return v
 
     def replay(self, h: int) -> ReleaseAttempt | None:
         """Record again, as a fresh copy, host h's last attempt if it failed
@@ -932,7 +1026,13 @@ def balcon(
     def place(stashed: tuple[int, ...]) -> ForceFitResult:
         return force_fit(Stash(inst, stashed), None, engine.mu, params, trace, engine)
 
+    def miss(v: int, stashed: tuple[int, ...]) -> ForceFitResult:
+        # force_fit's result on a zero budget when the stash's largest VM
+        # fits no host: one classification of a stash of h's whole load
+        cls = engine.classify(*engine.mu.load_parts(engine.releasing), params.alpha)
+        return ForceFitResult(0, {cls.value: 1}, False, _BUDGET_EXHAUSTED)
+
     # a stable sort of the ascending ids breaks cost ties to the lower id
     for h in sorted(range(len(inst.hosts)), key=costs.__getitem__):
-        engine.attempt(h, place)
+        engine.attempt(h, place, None if params.force_step_limit else miss)
     return engine.report(algorithm)

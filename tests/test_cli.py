@@ -200,6 +200,46 @@ class TestFlagRanges:
         assert not (tmp_path / "eval").exists()
 
 
+class TestFlagMessages:
+    # a flag whose text does not parse is a usage error (exit 1) whose
+    # message quotes the text and names no function of the package
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--mph", "xyz"], "argument --mph: bad mph value 'xyz': expected units"),
+            (["oracle", "--mph", "1 GiB"], "argument --mph: bad mph value '1 GiB'"),
+            (["solve", "--alpha", "1/0"], "argument --alpha: bad rational value '1/0'"),
+            (["eval", "--alpha", "half"], "argument --alpha: bad rational value 'half'"),
+        ],
+    )
+    def test_unparsable_text(self, argv, message, fig2_path, capsys):
+        assert main([*argv, str(fig2_path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "invalid" not in err and "parse_" not in err and "_flag" not in err
+
+    def test_alpha_range_error_quotes_the_text(self, fig2_path, tmp_path, capsys):
+        out = tmp_path / "result.json"
+        assert main(["solve", "--alpha", "1e400", "-o", str(out), str(fig2_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --alpha must lie in [0, 1], got 1e400\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--max-vms", "-1"), ("--max-hosts", "0"), ("--node-budget", "0")]
+    )
+    def test_oracle_limits_name_the_flag(self, flag, value, fig2_path, capsys):
+        assert main(["oracle", flag, value, str(fig2_path)]) == 2
+        assert f"error: {flag} must be at least 1, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1.5", "0", "-0.5", "nan"])
+    def test_generate_names_fill(self, value, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        assert main(["generate", "--seed", "1", "--hosts", "4", "--fill", value, "-o", str(out)]) == 2
+        assert f"error: --fill must lie in (0, 1], got {float(value)}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestGenerate:
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

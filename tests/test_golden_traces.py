@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from balcon import GenConfig, ObjectiveWeights, SolverParams, balcon, generate_instance
+from balcon import GenConfig, Mapping, ObjectiveWeights, SolverParams, balcon, generate_instance
 
 from conftest import make_fig2
 
@@ -57,6 +57,29 @@ def test_trace_matches_golden(key, golden):
     _, inst, params = next(run for run in runs() if run[0] == key)
     # compared as JSON text, so the order of each event's keys counts too
     assert json.dumps(traced(inst, params)) == json.dumps(golden[key])
+
+
+def test_probe_decided_attempts_emit_two_events(monkeypatch):
+    # an attempt the first-miss probe decides never opens the mapping: its
+    # release_attempt is followed by its release_result and nothing between
+    events: list[dict] = []
+    real_begin = Mapping.begin
+
+    def begin(mu):
+        events.append({"event": "begin"})
+        real_begin(mu)
+
+    monkeypatch.setattr(Mapping, "begin", begin)
+    probed = 0
+    for _, inst, params in runs():
+        events.clear()
+        balcon(inst, params, trace=events.append)
+        for event, after in zip(events, events[1:]):
+            if event["event"] == "release_attempt" and after["event"] != "begin":
+                assert after["event"] == "release_result" and after["host"] == event["host"]
+                assert after["outcome"] == "budget_exhausted"
+                probed += 1
+    assert probed > 0
 
 
 def record() -> None:

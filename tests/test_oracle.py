@@ -96,6 +96,11 @@ class TestEdgeCases:
         with pytest.raises(OracleSizeError, match="node budget"):
             brute_force_optimal(fig2, ObjectiveWeights(1, 0), OracleLimits(node_budget=100))
 
+    @pytest.mark.parametrize("field", ["max_vms", "max_hosts", "node_budget"])
+    def test_limits_below_one_are_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1, got 0"):
+            OracleLimits(**{field: 0})
+
 
 class TestMinActiveHostsBound:
     def test_fig2(self, fig2):

@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,7 @@ from balcon import (
     host_migration_cost,
     migrated_memory,
     objective,
+    surrogate_load,
 )
 import balcon.solver as solver
 from balcon.sercon import sercon_modified, sercon_original
@@ -590,36 +592,64 @@ def _fitting(mu: Mapping, hosts, cpu: int, mem: int) -> list[int]:
     return [g for g in hosts if cpu <= mu.free_parts(g)[0] and mem <= mu.free_parts(g)[1]]
 
 
+def _by_load(mu: Mapping, hosts) -> list[int]:
+    # highest surrogate load first, ties to the lower id, by exact Fractions
+    return sorted(hosts, key=lambda g: (-surrogate_load(g, mu), g))
+
+
 def _run_room_checked(inst: Instance, mph, algo: str) -> Counter:
     """Run one algorithm with the engine's active list and room lists
-    checked after every attempt, and every room list it hands out checked
-    against the hosts of the attempt; returns how often each check ran."""
+    checked after every commit and attempt, every engine Best Fit checked
+    against ``best_fit`` over the attempt's hosts, and every attempt the
+    first-miss probe decides checked against a scan; returns how often each
+    check ran."""
     ran = Counter()
-    real_attempt, real_room = ReleaseEngine.attempt, ReleaseEngine.room
+    real_attempt, real_commit, real_fit = (
+        ReleaseEngine.attempt, ReleaseEngine._commit, ReleaseEngine.best_fit
+    )
+    real_begin = Mapping.begin
 
-    def attempt(engine, h, place):
-        out = real_attempt(engine, h, place)
-        mu = engine.mu
+    def begin(mu):
+        ran["begin"] += 1
+        real_begin(mu)
+
+    def attempt(engine, h, *args, **kwargs):
+        mu, begun = engine.mu, ran["begin"]
+        stashed = mu.vms_on(h)
+        out = real_attempt(engine, h, *args, **kwargs)
         assert engine.active == mu.active_hosts()
-        for (cpu, mem), room in engine.rooms.items():
-            assert room == _fitting(mu, engine.active, cpu, mem), (cpu, mem)
-        ran["accepted with rooms"] += out.released and bool(engine.rooms)
+        if out.outcome != "skipped" and ran["begin"] == begun:
+            # decided by the probe: the mapping was not touched, and the
+            # largest VM, ties to the lower id, fits no host of the attempt
+            assert stashed and mu.vms_on(h) == stashed and out.force_steps == 0
+            v = min(stashed, key=lambda w: (-inst._size_num[w], w))
+            hosts = [g for g in engine.active if g != h]
+            assert not _fitting(mu, hosts, inst.vm_cpu(v), inst.vm_mem(v)), h
+            ran["probe"] += 1
         return out
 
-    def room(engine, v):
-        # the attempt's hosts: the committed active hosts without the
-        # released one, which is empty now
-        cands = real_room(engine, v)
+    def commit(engine):
+        real_commit(engine)
         mu = engine.mu
-        hosts = [g for g in engine.active if g != engine.releasing]
-        assert cands == sorted(set(cands)) and set(cands) <= set(hosts)
-        assert set(_fitting(mu, hosts, inst.vm_cpu(v), inst.vm_mem(v))) <= set(cands)
-        ran["room"] += 1
-        return cands
+        for (cpu, mem), room in engine.rooms.items():
+            fitting = _fitting(mu, mu.active_hosts(), cpu, mem)
+            assert [g for _, g in room] == _by_load(mu, fitting), (cpu, mem)
+            assert room == sorted(engine._entry(g, *mu.load_parts(g)) for g in fitting)
+        ran["commit with rooms"] += bool(engine.rooms)
+
+    def engine_fit(engine, v):
+        want = best_fit(v, engine.hosts(), engine.mu.copy())
+        ran["engine best fit with a destination"] += bool(engine.dests)
+        got = real_fit(engine, v)
+        assert got == want, v
+        ran["engine best fit"] += 1
+        return got
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Mapping, "begin", begin)
         mp.setattr(ReleaseEngine, "attempt", attempt)
-        mp.setattr(ReleaseEngine, "room", room)
+        mp.setattr(ReleaseEngine, "_commit", commit)
+        mp.setattr(ReleaseEngine, "best_fit", engine_fit)
         ALGORITHMS[algo](inst, params_for(mph))
     return ran
 
@@ -647,14 +677,19 @@ class TestRoomLists:
 
     @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
     def test_checks_are_exercised(self, algo):
-        # the checks above see room lists handed out and updated on commit
+        # the checks above see room lists updated on commit, engine Best
+        # Fits, also with destinations in the attempt, and, for the
+        # zero-budget and all-or-nothing baselines only, attempts the probe
+        # decides
         ran = Counter()
         for seed in range(3):
             inst = generate_instance(
                 GenConfig(seed=seed, num_hosts=20, mode="lopsided", target_fill=0.6)
             )
             ran += _run_room_checked(inst, math.inf, algo)
-        assert ran["room"] > 0 and ran["accepted with rooms"] > 0, ran
+        for key in ("commit with rooms", "engine best fit", "engine best fit with a destination"):
+            assert ran[key] > 0, ran
+        assert (ran["probe"] > 0) == (algo != "balcon"), ran
 
     def test_room_lists_serve_only_until_the_first_force_step(self, fig2):
         # releasing host2: b fits nowhere and takes a Force Step into host1,
@@ -692,9 +727,9 @@ def _count_host_lists(inst: Instance, weights: ObjectiveWeights, algo: str) -> l
 
         return wrapper
 
-    def attempt(engine, h, place):
+    def attempt(engine, h, *args, **kwargs):
         calls.clear()
-        out = real_attempt(engine, h, place)
+        out = real_attempt(engine, h, *args, **kwargs)
         if out.outcome != "skipped":
             per_attempt.append((calls["hosts"], calls["choose"]))
         return out
@@ -737,9 +772,9 @@ def _run_objective_checked(inst: Instance, weights: ObjectiveWeights, algo: str)
     ran = 0
     real_attempt = ReleaseEngine.attempt
 
-    def attempt(engine, h, place):
+    def attempt(engine, h, *args, **kwargs):
         nonlocal ran
-        out = real_attempt(engine, h, place)
+        out = real_attempt(engine, h, *args, **kwargs)
         mu, mu0 = engine.mu, engine.mu0
         obj = objective(mu, mu0, weights)
         assert (engine.best_obj, type(engine.best_obj)) == (obj, type(obj)), h
@@ -779,6 +814,16 @@ class TestRunningObjective:
 INDEX_ALGORITHMS = ("balcon", "sercon-mod")
 
 
+def _unplaced_stash(engine: ReleaseEngine) -> Stash:
+    # the stash of a classification the engine answers: before an attempt's
+    # first Force Step the VMs without a host, or h's VMs when the
+    # first-miss probe classifies with no attempt open
+    mu = engine.mu
+    if mu._first is None:
+        return Stash(mu.inst, mu.vms_on(engine.releasing))
+    return Stash(mu.inst, [v for v in mu.touched() if mu.host_of(v) is None])
+
+
 def _run_index_checked(inst: Instance, mph, algo: str) -> Counter:
     """Run one algorithm with every answer of the engine's free-space angle
     index checked against a full scan of the attempt's hosts: the sums
@@ -801,15 +846,19 @@ def _run_index_checked(inst: Instance, mph, algo: str) -> Counter:
             want[2] += fm
         assert sums == tuple(want)
         load_c, load_m = mu.committed_loads()
+        opened = mu._first is not None
         ran["sums"] += 1
+        ran["with no attempt open"] += not opened
         ran["after a release"] += any(a.released for a in engine.attempts)
-        ran["moved besides h"] += bool(mu.moved_hosts().keys() - {h})
+        ran["moved besides h"] += opened and bool(mu.moved_hosts().keys() - {h})
         cap = mu.inst.capacity(h)
         ran["h had free space"] += (load_c[h], load_m[h]) != (cap.cpu, cap.mem)
         return sums
 
-    def engine_classify(engine, stash, alpha):
-        cls = real_classify(engine, stash, alpha)
+    def engine_classify(engine, s_cpu, s_mem, alpha):
+        cls = real_classify(engine, s_cpu, s_mem, alpha)
+        stash = _unplaced_stash(engine)
+        assert (stash.cpu_total, stash.mem_total) == (s_cpu, s_mem)
         assert cls == classify(stash, attempt_hosts(engine), engine.mu, stash.peek(), alpha)
         ran[cls.value] += 1
         return cls
@@ -842,7 +891,8 @@ class TestAngleIndex:
     @pytest.mark.parametrize("algo", INDEX_ALGORITHMS)
     def test_checks_are_exercised(self, algo):
         # the checks above see the index asked after a release, with hosts
-        # other than h moved and with free space on h
+        # other than h moved and with free space on h, and, for the
+        # zero-budget baseline only, by the first-miss probe
         ran = Counter()
         for seed in range(3):
             inst = generate_instance(
@@ -851,6 +901,7 @@ class TestAngleIndex:
             ran += _run_index_checked(inst, math.inf, algo)
         for key in ("sums", "after a release", "moved besides h", "h had free space"):
             assert ran[key] > 0, ran
+        assert (ran["with no attempt open"] > 0) == (algo == "sercon-mod"), ran
 
     def test_ratio_key_orders_like_fraction(self):
         # every pair of free spaces (fc, fm) on a grid up to the capacities,
@@ -866,6 +917,76 @@ class TestAngleIndex:
             for b in pairs:
                 ra, rb = ratio(a), ratio(b)
                 assert (key(a) < key(b), key(a) == key(b)) == (ra < rb, ra == rb), (a, b)
+
+
+def _scan_sums(mu: Mapping, hosts, s_cpu: int, s_mem: int) -> tuple[int, int, int]:
+    # the cap-sum scan of ``classify.classify``
+    cap_num = sum_c = sum_m = 0
+    for g in hosts:
+        fc, fm = mu.free_parts(g)
+        cap_num += min(fc * s_mem, fm * s_cpu)
+        sum_c += fc
+        sum_m += fm
+    return cap_num, sum_c, sum_m
+
+
+BASELINE_ALGORITHMS = {
+    "sercon-mod": sercon_modified,
+    "sercon-orig": sercon_original,
+    "sercon-orig-capped": partial(sercon_original, max_total_migrations=5),
+}
+
+
+def _unprobed(algo: str, inst: Instance, weights: ObjectiveWeights):
+    # the run with every attempt opened, as if no policy offered ``miss``
+    real_attempt = ReleaseEngine.attempt
+
+    def attempt(engine, h, place, miss=None):
+        return real_attempt(engine, h, place)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ReleaseEngine, "attempt", attempt)
+        return BASELINE_ALGORITHMS[algo](inst, SolverParams(weights=weights))
+
+
+class TestFirstMissProbe:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(19, 20), Fraction(1)]))
+    def test_free_sums_with_no_attempt_open(self, seed, alpha):
+        # what the probe classifies: h's VMs still on h, a stash of h's
+        # whole load and the other active hosts, at the initial mapping and
+        # after every zero-budget attempt
+        inst = random_instance(random.Random(seed))
+        params = replace(INF_PARAMS, force_step_limit=0)
+        engine = ReleaseEngine(inst, params.weights)
+        mu = engine.mu
+
+        def place(stashed):
+            return force_fit(Stash(inst, stashed), engine.hosts(), mu, params)
+
+        for h in range(len(inst.hosts)):
+            for g in engine.active:
+                engine.releasing = g
+                s_cpu, s_mem = mu.load_parts(g)
+                hosts = [a for a in engine.active if a != g]
+                assert engine.free_sums(s_cpu, s_mem) == _scan_sums(mu, hosts, s_cpu, s_mem)
+                stash = Stash(inst, mu.vms_on(g))
+                v = stash.peek()
+                if not _fitting(mu, hosts, inst.vm_cpu(v), inst.vm_mem(v)):
+                    want = classify(stash, hosts, mu, v, alpha)
+                    assert engine.classify(s_cpu, s_mem, alpha) == want
+            engine.attempt(h, place)
+
+    @pytest.mark.parametrize("algo", sorted(BASELINE_ALGORITHMS))
+    @pytest.mark.parametrize("group", ["tiny-mph-10", "lopsided-20-hosts", "lopsided-50-hosts"])
+    def test_runs_equal_the_unprobed_runs(self, algo, group):
+        # every attempt record, the final mapping and the objective
+        for key, inst, weights in BASELINE_GROUPS[group]():
+            mu, report = BASELINE_ALGORITHMS[algo](inst, SolverParams(weights=weights))
+            mu_plain, plain = _unprobed(algo, inst, weights)
+            assert mu.assignment == mu_plain.assignment, key
+            assert report.attempts == plain.attempts, key
+            assert (report.objective, report.force_steps) == (plain.objective, plain.force_steps)
 
 
 def test_solver_params_validation():
