@@ -792,14 +792,18 @@ class ReleaseEngine:
         inst = mu.inst
         cap_c, cap_m = inst._cap_cpu, inst._cap_mem
         load_c, load_m, members, entry = mu._load_c, mu._load_m, mu._members, self._entry
-        changes = []
-        for g, (old_c, old_m) in moved.items():
-            lc, lm = load_c[g], load_m[g]
-            new = entry(g, lc, lm) if members[g] else None
-            changes.append(
-                (cap_c[g] - old_c, cap_m[g] - old_m, entry(g, old_c, old_m),
-                 cap_c[g] - lc, cap_m[g] - lm, new)
+        # per moved host: free space and entry as of begin(), then now
+        changes = [
+            (
+                cap_c[g] - old_c,
+                cap_m[g] - old_m,
+                entry(g, old_c, old_m),
+                cap_c[g] - load_c[g],
+                cap_m[g] - load_m[g],
+                entry(g, load_c[g], load_m[g]) if members[g] else None,
             )
+            for g, (old_c, old_m) in moved.items()
+        ]
         for (c, m), room in self.rooms.items():
             for old_fc, old_fm, old, fc, fm, new in changes:
                 if old_fc >= c and old_fm >= m:

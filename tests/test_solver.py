@@ -3,7 +3,6 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,7 +39,7 @@ from balcon.classify import classify
 from balcon.solver import ReleaseEngine, free_ratio_key
 
 from conftest import A, B, GREEN, RED, YELLOW, random_instance
-from test_golden_reports import BASELINE_GROUPS, GROUPS as GOLDEN_GROUPS
+from test_golden_reports import BASELINE_GROUPS, BASELINES, GROUPS as GOLDEN_GROUPS
 
 INF_PARAMS = SolverParams(weights=ObjectiveWeights.from_mph(math.inf))
 
@@ -930,13 +929,6 @@ def _scan_sums(mu: Mapping, hosts, s_cpu: int, s_mem: int) -> tuple[int, int, in
     return cap_num, sum_c, sum_m
 
 
-BASELINE_ALGORITHMS = {
-    "sercon-mod": sercon_modified,
-    "sercon-orig": sercon_original,
-    "sercon-orig-capped": partial(sercon_original, max_total_migrations=5),
-}
-
-
 def _unprobed(algo: str, inst: Instance, weights: ObjectiveWeights):
     # the run with every attempt opened, as if no policy offered ``miss``
     real_attempt = ReleaseEngine.attempt
@@ -946,7 +938,7 @@ def _unprobed(algo: str, inst: Instance, weights: ObjectiveWeights):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ReleaseEngine, "attempt", attempt)
-        return BASELINE_ALGORITHMS[algo](inst, SolverParams(weights=weights))
+        return BASELINES[algo](inst, SolverParams(weights=weights))
 
 
 class TestFirstMissProbe:
@@ -977,12 +969,12 @@ class TestFirstMissProbe:
                     assert engine.classify(s_cpu, s_mem, alpha) == want
             engine.attempt(h, place)
 
-    @pytest.mark.parametrize("algo", sorted(BASELINE_ALGORITHMS))
+    @pytest.mark.parametrize("algo", sorted(BASELINES))
     @pytest.mark.parametrize("group", ["tiny-mph-10", "lopsided-20-hosts", "lopsided-50-hosts"])
     def test_runs_equal_the_unprobed_runs(self, algo, group):
         # every attempt record, the final mapping and the objective
         for key, inst, weights in BASELINE_GROUPS[group]():
-            mu, report = BASELINE_ALGORITHMS[algo](inst, SolverParams(weights=weights))
+            mu, report = BASELINES[algo](inst, SolverParams(weights=weights))
             mu_plain, plain = _unprobed(algo, inst, weights)
             assert mu.assignment == mu_plain.assignment, key
             assert report.attempts == plain.attempts, key
