@@ -197,9 +197,9 @@ def cmd_generate(args) -> int:
         raise ValueError(f"--fill must lie in (0, 1], got {args.fill}")
     cfg = GenConfig(
         seed=args.seed,
-        num_hosts=args.hosts,
-        host_capacity=ResourceVec(args.cpu, args.mem),
-        num_flavors=args.flavors,
+        num_hosts=_at_least("--hosts", args.hosts, 1),
+        host_capacity=ResourceVec(args.cpu, _at_least("--mem", args.mem, 2)),
+        num_flavors=_at_least("--flavors", args.flavors, 1),
         target_fill=args.fill,
         mode=args.mode,
     )

@@ -50,6 +50,10 @@ __all__ = [
 DEFAULT_FORCE_STEP_LIMIT = 4000
 DEFAULT_REPEAT_LIMIT = 3
 _BUDGET_EXHAUSTED = "force-step budget exhausted"
+# the class names of ForceFitResult.class_counts and the trace events
+_AMPLE = ClusterClass.AMPLE.value
+_BALANCED = ClusterClass.BALANCED.value
+_LOPSIDED = ClusterClass.LOPSIDED.value
 
 # Why a release attempt ended (ReleaseAttempt.outcome), in the order the
 # engine decides it.
@@ -124,12 +128,15 @@ class ResourceToggle:
 class ForceFitResult:
     """What a placement policy did with a stash.  ``reason`` says why an
     incomplete placement stopped: one ending in "budget exhausted" makes the
-    attempt's outcome ``budget_exhausted``, any other ``unplaceable``."""
+    attempt's outcome ``budget_exhausted``, any other ``unplaceable``.
+    ``cycle_period`` is the Force Steps per turn when a detected cycle ended
+    the placement (see ``force_fit``), else None."""
 
     force_steps: int
     class_counts: dict[str, int]
     completed: bool
     reason: str | None = None
+    cycle_period: int | None = None
 
 
 @dataclass
@@ -142,6 +149,7 @@ class ReleaseAttempt:
     objective_after: object
     migrated_after: int
     outcome: str  # one of the outcome constants above
+    cycle_period: int | None = None  # ForceFitResult.cycle_period
 
 
 @dataclass
@@ -210,15 +218,23 @@ def best_fit(v: int, hosts: Sequence[int], mu: Mapping) -> int | None:
 
 
 def choose_host_balanced(
-    v: int, hosts: Sequence[int], mu: Mapping, prohibitor: RepeatsProhibitor
+    v: int,
+    hosts: Sequence[int],
+    mu: Mapping,
+    prohibitor: RepeatsProhibitor,
+    *,
+    prefiltered: bool = False,
 ) -> int | None:
     """Destination with the most residents strictly smaller than v.
 
     Ties go to the higher surrogate load, then the lower host id.  Returns
-    None when no host could hold v at all.
+    None when no host could hold v at all.  Only hosts that could hold v
+    when empty are candidates; ``prefiltered`` says that ``hosts`` holds
+    only such hosts (``force_fit`` keeps that list per VM demand for an
+    attempt), which saves the filter.
     """
     inst = mu.inst
-    candidates = _capacity_candidates(v, hosts, inst)
+    candidates = hosts if prefiltered else _capacity_candidates(v, hosts, inst)
     if not candidates:
         return None
     allowed = prohibitor.filter(candidates) or candidates
@@ -250,16 +266,19 @@ def choose_host_lopsided(
     mu: Mapping,
     prohibitor: RepeatsProhibitor,
     toggle: ResourceToggle,
+    *,
+    prefiltered: bool = False,
 ) -> int | None:
     """Destination choice for the Lopsided state.
 
     When v's angle is extremal among the candidates' load angles, take the
     host with the most opposite angle and point the toggle at that host's
     larger load fraction.  Otherwise flip the toggle and take the host with
-    the largest load in that resource.  Ties go to the lower host id.
+    the largest load in that resource.  Ties go to the lower host id.  The
+    candidates and ``prefiltered`` are as in ``choose_host_balanced``.
     """
     inst = mu.inst
-    candidates = _capacity_candidates(v, hosts, inst)
+    candidates = hosts if prefiltered else _capacity_candidates(v, hosts, inst)
     if not candidates:
         return None
     allowed = prohibitor.filter(candidates) or candidates
@@ -361,7 +380,7 @@ def force_fit_lopsided(v: int, h: int, mu: Mapping) -> list[int]:
 
 
 def _run_out_cycle(
-    period: list[ClusterClass],
+    period: list[str],
     steps: int,
     counts: dict[str, int],
     limit: int,
@@ -369,25 +388,28 @@ def _run_out_cycle(
 ) -> ForceFitResult:
     """Finish an attempt whose loop state has come back to an earlier state.
 
-    ``period`` holds the classes of the iterations since that earlier state;
-    the attempt would go round them until the budget ran out.  Whole turns
-    are added arithmetically, then the last partial turn is replayed up to
-    the classification that finds the budget spent, so the result equals the
-    one the budget-exhausting loop returns.  Every class in ``period`` has
-    been counted already, so ``counts`` holds its key.
+    ``period`` holds the class names of the iterations from that earlier
+    state up to now; as the state now equals it, the attempt would go round
+    them until the budget ran out.  Whole turns are added arithmetically,
+    then the last partial turn is replayed up to the classification that
+    finds the budget spent, so the result equals the one the
+    budget-exhausting loop returns, whichever repeat of the state ended the
+    loop.  ``force_fit`` calls it at the first repeat, so the Force Steps of
+    ``period`` are the cycle's length.  Every class in ``period`` has been
+    counted already, so ``counts`` holds its key.
     """
-    p = sum(1 for cls in period if cls is not ClusterClass.AMPLE)
+    p = len(period) - period.count(_AMPLE)
     if trace is not None:
         trace({"event": "cycle", "step": steps, "period": p})
     turns = (limit - steps) // p
-    for cls in period:
-        counts[cls.value] += turns
+    for name in period:
+        counts[name] += turns
     steps += turns * p
-    for cls in cycle(period):
-        counts[cls.value] += 1
-        if cls is not ClusterClass.AMPLE:
+    for name in cycle(period):
+        counts[name] += 1
+        if name != _AMPLE:
             if steps >= limit:
-                return ForceFitResult(steps, counts, False, _BUDGET_EXHAUSTED)
+                return ForceFitResult(steps, counts, False, _BUDGET_EXHAUSTED, p)
             steps += 1
 
 
@@ -405,12 +427,32 @@ def force_fit(
     largest VM v; the cluster is Ample exactly when one exists.  Only when v
     fits no host does ``classify`` tell Balanced from Lopsided.  Direct
     placements are free; Balanced/Lopsided placements consume Force Steps up
-    to the budget ``params.force_step_limit``.  The budget is an upper bound
-    on the work done: an attempt that revisits a loop state can only go
-    round the same cycle until the budget runs out, so it ends at once with
-    the report that running out the budget would have given.  On budget
-    exhaustion, or when some VM fits no host even empty, the stash is left
-    non-empty and the mapping stays partial, which the caller rejects.
+    to the budget ``params.force_step_limit``.  On budget exhaustion, or when
+    some VM fits no host even empty, the stash is left non-empty and the
+    mapping stays partial, which the caller rejects.
+
+    The budget is an upper bound on the work done.  The loop state between
+    iterations is the assignment (its None entries fix the stash set, and
+    heap keys are unique, so peek/pop depend on the set alone), the
+    prohibitor's last host and its count capped at the limit (``filter``
+    reads only count >= limit) and the toggle; the next iteration depends on
+    nothing else.  From the first Force Step on, every state is recorded
+    with the index of its iteration, and the classes of those iterations are
+    listed.  The first time a state comes back, the attempt can only go
+    round the iterations since its first visit until the budget runs out,
+    so it ends at once with the report that running out the budget would
+    have given (``_run_out_cycle``), with ``cycle_period`` the Force Steps
+    of one turn.  Before the first Force Step only Ample placements happen
+    and the stash strictly shrinks, so no state can repeat.  The record
+    lives for one attempt and holds one key of |V| + 3 entries per
+    iteration since the first Force Step: at most (iterations up to the
+    repeat) * (|V| + 3) entries.  Without a repeat the budget bounds the
+    iterations: each is a Force Step or places a VM that was stashed or
+    evicted.
+
+    The hosts that could hold a VM demand when empty, the candidates of a
+    destination choice, depend on the attempt's hosts and the fixed
+    capacities only, so each demand's list is built once per attempt.
 
     ``engine``, when given, is the ``ReleaseEngine`` whose attempt this is,
     and ``hosts`` are that attempt's hosts, or None to have them built by
@@ -439,57 +481,56 @@ def force_fit(
     counts: dict[str, int] = {}
     prohibitor = RepeatsProhibitor(params.repeat_limit)
     toggle = ResourceToggle("cpu")
-    # Brent's cycle detection on the state between iterations: the
-    # assignment (its None entries fix the stash set, and heap keys are
-    # unique, so peek/pop depend on the set alone), the prohibitor's last
-    # host and its count capped at the limit (filter reads only
-    # count >= limit), and the toggle.  Tracking starts after the first
-    # Force Step: before it only Ample placements happen and the stash
-    # strictly shrinks, so no state can repeat.
+    balanced = ClusterClass.BALANCED
+    inst = mu.inst
+    vm_cpu, vm_mem = inst._vm_cpu, inst._vm_mem
     host_of = mu._host_of
-    snap_state = snap_host_of = None
-    period: list[ClusterClass] = []  # classes of the iterations since the snapshot
-    power = 0
+    seen: dict[tuple, int] = {}  # loop state -> index of its iteration
+    classes: list[str] = []  # class names of those iterations
+    fitting: dict[tuple[int, int], list[int]] = {}  # demand -> candidates
     while stash:
         if steps:
-            state = (prohibitor.last, min(prohibitor.count, prohibitor.limit), toggle.r)
-            if state == snap_state and host_of == snap_host_of:
-                return _run_out_cycle(period, steps, counts, limit, trace)
-            if len(period) == power:
-                snap_state, snap_host_of = state, host_of.copy()
-                period = []
-                power = max(2 * power, 1)
+            key = (tuple(host_of), prohibitor.last, min(prohibitor.count, prohibitor.limit), toggle.r)
+            i = seen.setdefault(key, len(classes))
+            if i < len(classes):
+                return _run_out_cycle(classes[i:], steps, counts, limit, trace)
         v = stash.peek()
         fresh = engine is not None and not steps
         dest = engine.best_fit(v) if fresh else best_fit(v, hosts, mu)
-        if dest is not None:
-            cls = ClusterClass.AMPLE
-        elif fresh:
-            cls = engine.classify(stash.cpu_total, stash.mem_total, params.alpha)
+        if dest is None:
+            if fresh:
+                cls = engine.classify(stash.cpu_total, stash.mem_total, params.alpha)
+            else:
+                cls = classify(stash, hosts, mu, v, params.alpha)
+            name = _BALANCED if cls is balanced else _LOPSIDED
         else:
-            cls = classify(stash, hosts, mu, v, params.alpha)
-        counts[cls.value] = counts.get(cls.value, 0) + 1
-        if snap_state is not None:
-            period.append(cls)
+            name = _AMPLE
+        counts[name] = counts.get(name, 0) + 1
+        if steps:
+            classes.append(name)
         if dest is not None:
             stash.pop()
             if trace is not None:
-                trace({"event": "place", "class": cls.value, "vm": v, "host": dest})
+                trace({"event": "place", "class": name, "vm": v, "host": dest})
             continue
         if steps >= limit:
             return ForceFitResult(steps, counts, False, _BUDGET_EXHAUSTED)
         if hosts is None:
             hosts = engine.hosts()
-        if cls is ClusterClass.BALANCED:
-            dest = choose_host_balanced(v, hosts, mu, prohibitor)
+        demand = (vm_cpu[v], vm_mem[v])
+        candidates = fitting.get(demand)
+        if candidates is None:
+            candidates = fitting[demand] = _capacity_candidates(v, hosts, inst)
+        if cls is balanced:
+            dest = choose_host_balanced(v, candidates, mu, prohibitor, prefiltered=True)
         else:
-            dest = choose_host_lopsided(v, hosts, mu, prohibitor, toggle)
+            dest = choose_host_lopsided(v, candidates, mu, prohibitor, toggle, prefiltered=True)
         if dest is None:
             # no host can hold v even when empty; the attempt cannot succeed
             return ForceFitResult(steps, counts, False, f"vm {v} fits no destination")
         steps += 1
         stash.pop()
-        if cls is ClusterClass.BALANCED:
+        if cls is balanced:
             evicted = force_fit_balanced(v, dest, mu)
         else:
             evicted = force_fit_lopsided(v, dest, mu)
@@ -498,7 +539,7 @@ def force_fit(
             trace(
                 {
                     "event": "force_step",
-                    "class": cls.value,
+                    "class": name,
                     "vm": v,
                     "host": dest,
                     "evicted": list(evicted),
@@ -855,7 +896,7 @@ class ReleaseEngine:
         miss: Callable[[int, tuple[int, ...]], ForceFitResult] | None = None,
     ) -> ReleaseAttempt:
         mu, trace = self.mu, self.trace
-        steps, counts, released = 0, {}, False
+        steps, counts, released, cycle_period = 0, {}, False, None
         if mu._members[h] and self.lower_bound(h) > self.best_obj:
             outcome = SKIPPED
         else:
@@ -873,6 +914,7 @@ class ReleaseEngine:
                     mu.unassign(v)
                 result = place(stashed)
             steps, counts = result.force_steps, result.class_counts
+            cycle_period = result.cycle_period
             self.force_steps += steps
             outcome = self._judge(result, emptied=bool(stashed))
             if outcome == ACCEPTED:
@@ -897,6 +939,7 @@ class ReleaseEngine:
             objective_after=self.best_obj,
             migrated_after=self.best_mig,
             outcome=outcome,
+            cycle_period=cycle_period,
         )
         self.attempts.append(attempt)
         if not accepted:
@@ -937,6 +980,7 @@ class ReleaseEngine:
             last.objective_after,
             last.migrated_after,
             last.outcome,
+            last.cycle_period,
         )
         self.force_steps += attempt.force_steps
         self.attempts.append(attempt)

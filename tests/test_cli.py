@@ -255,6 +255,14 @@ class TestGenerate:
         assert main(["generate", "--mode", "uniform", "--seed", "3", "--hosts", "4", "-o", str(out)]) == 0
         assert load_instance(out).initial_mapping().is_feasible()
 
+    @pytest.mark.parametrize("flag, value, low", [("--hosts", "0", 1), ("--flavors", "0", 1), ("--mem", "1", 2)])
+    def test_range_errors_name_the_flag(self, flag, value, low, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        argv = ["generate", "--seed", "1", "--hosts", "4", flag, value, "-o", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be at least {low}, got {value}\n"
+        assert not out.exists()
+
     def test_zero_cpu_capacity(self, tmp_path, capsys):
         out = tmp_path / "z.json"
         assert main(["generate", "--cpu", "0", "--seed", "1", "--hosts", "4", "-o", str(out)]) == 2

@@ -35,10 +35,10 @@ from balcon import (
 )
 import balcon.solver as solver
 from balcon.sercon import sercon_modified, sercon_original
-from balcon.classify import classify
-from balcon.solver import ReleaseEngine, free_ratio_key
+from balcon.classify import ClusterClass, classify
+from balcon.solver import ForceFitResult, ReleaseEngine, free_ratio_key
 
-from conftest import A, B, GREEN, RED, YELLOW, random_instance
+from conftest import A, B, GREEN, RED, YELLOW, random_instance, tiny_instances
 from test_golden_reports import BASELINE_GROUPS, BASELINES, GROUPS as GOLDEN_GROUPS
 
 INF_PARAMS = SolverParams(weights=ObjectiveWeights.from_mph(math.inf))
@@ -524,6 +524,236 @@ class TestBalcon:
             assert mu_a.assignment == mu_b.assignment
 
 
+def _reference_force_fit(stash: Stash, hosts, mu: Mapping, params: SolverParams):
+    """``force_fit`` without cycle detection, built from the public steps:
+    every Force Step runs until the stash is empty, the budget is spent or
+    a VM fits no host.  It watches the loop state (the assignment, the
+    prohibitor's last host and its count capped at the limit, the toggle)
+    and notes its first repeat without stopping there.
+
+    Returns the result, whose ``cycle_period`` is the Force Steps between
+    the two visits of the repeated state; the Force Steps taken at that
+    repeat, or None; and the assignment at the repeat, or at the end when
+    no state repeated.
+    """
+    limit = params.force_step_limit
+    steps, counts = 0, {}
+    prohibitor, toggle = RepeatsProhibitor(params.repeat_limit), ResourceToggle("cpu")
+    visited = {}  # state -> Force Steps taken at its first visit
+    repeat = period = at_repeat = None
+
+    def end(completed: bool, reason: str | None = None):
+        result = ForceFitResult(steps, counts, completed, reason, period)
+        return result, repeat, mu.assignment if at_repeat is None else at_repeat
+
+    while stash:
+        if steps and repeat is None:
+            state = (mu.assignment, prohibitor.last, min(prohibitor.count, prohibitor.limit), toggle.r)
+            if state in visited:
+                repeat, period, at_repeat = steps, steps - visited[state], mu.assignment
+            else:
+                visited[state] = steps
+        v = stash.peek()
+        if best_fit(v, hosts, mu) is not None:
+            counts["ample"] = counts.get("ample", 0) + 1
+            stash.pop()
+            continue
+        cls = classify(stash, hosts, mu, v, params.alpha)
+        counts[cls.value] = counts.get(cls.value, 0) + 1
+        if steps >= limit:
+            return end(False, "force-step budget exhausted")
+        if cls is ClusterClass.BALANCED:
+            dest = choose_host_balanced(v, hosts, mu, prohibitor)
+        else:
+            dest = choose_host_lopsided(v, hosts, mu, prohibitor, toggle)
+        if dest is None:
+            return end(False, f"vm {v} fits no destination")
+        steps += 1
+        stash.pop()
+        evict = force_fit_balanced if cls is ClusterClass.BALANCED else force_fit_lopsided
+        stash.extend(evict(v, dest, mu))
+    return end(True)
+
+
+def _differential(stash: Stash, hosts, mu: Mapping, params: SolverParams, engine=None, run=force_fit):
+    """Run ``force_fit`` (``run``) and the reference loop on copies of the
+    same stash and mapping; check the result, the final assignment and the
+    cycle event, and return the result and the reference's repeat step.
+
+    A cycling attempt stops at its first repeated state, while the
+    reference goes on round the cycle, so its final assignment is compared
+    with the reference's at that repeat."""
+    inst = mu.inst
+    ref_mu = mu.copy()
+    ref_stash = Stash(inst, [v for v, g in enumerate(ref_mu.assignment) if g is None])
+    ref_hosts = engine.hosts() if hosts is None else list(hosts)
+    events = []
+    result = run(stash, hosts, mu, params, events.append, engine)
+    want, repeat, want_assignment = _reference_force_fit(ref_stash, ref_hosts, ref_mu, params)
+    assert result == want
+    assert mu.assignment == want_assignment
+    cycles = [e for e in events if e["event"] == "cycle"]
+    if repeat is None:
+        assert cycles == []
+    else:
+        assert cycles == [{"event": "cycle", "step": repeat, "period": want.cycle_period}]
+        assert sum(e["event"] == "force_step" for e in events) == repeat
+    return result, repeat
+
+
+DIFFERENTIAL_BUDGETS = (0, 1, 7, 64, 300)
+
+
+def _differential_balcon(inst: Instance, weights: ObjectiveWeights, limit: int) -> Counter:
+    """Run ``balcon`` with every ``force_fit`` call checked by
+    ``_differential``; count the calls, the cycles and the report's
+    cycled attempts."""
+    seen = Counter()
+    real = solver.force_fit
+
+    def checked(stash, hosts, mu, params, trace=None, engine=None):
+        result, repeat = _differential(stash, hosts, mu, params, engine, real)
+        seen["calls"] += 1
+        seen["cycled"] += repeat is not None
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "force_fit", checked)
+        _, report = balcon(inst, SolverParams(weights=weights, force_step_limit=limit))
+    for a in report.attempts:
+        assert (a.cycle_period is not None) <= (a.outcome == "budget_exhausted")
+    seen["attempts cycled"] += sum(a.cycle_period is not None for a in report.attempts)
+    return seen
+
+
+def _tiny_sample() -> list[Instance]:
+    corpus = tiny_instances(200)
+    return [corpus[i] for i in sorted(random.Random(15).sample(range(200), 25))]
+
+
+class TestFirstRepeat:
+    @pytest.mark.parametrize("limit", DIFFERENTIAL_BUDGETS)
+    def test_fig2_red_host_matches_the_reference(self, fig2, limit):
+        mu = fig2.initial_mapping()
+        mu.unassign(RED)
+        params = replace(INF_PARAMS, force_step_limit=limit)
+        result, repeat = _differential(Stash(fig2, [RED]), [1, 2], mu, params)
+        assert result.force_steps == limit
+        # the state after 4 Force Steps comes back after 8
+        assert (repeat, result.cycle_period) == ((8, 4) if limit >= 8 else (None, None))
+
+    @pytest.mark.parametrize("limit", DIFFERENTIAL_BUDGETS)
+    def test_tiny_sample_matches_the_reference(self, limit):
+        seen = Counter()
+        for inst in _tiny_sample():
+            for mph in (10, math.inf):
+                seen += _differential_balcon(inst, ObjectiveWeights.from_mph(mph), limit)
+        assert seen["calls"] > 0
+        if limit >= 64:
+            assert seen["cycled"] > 0 and seen["attempts cycled"] > 0, seen
+
+    @pytest.mark.parametrize("limit", DIFFERENTIAL_BUDGETS)
+    @pytest.mark.parametrize("hosts", [6, 12])
+    def test_default_twins_match_the_reference(self, hosts, limit):
+        seen = Counter()
+        for seed in range(6):
+            for mode in ("lopsided", "uniform"):
+                inst = generate_instance(GenConfig(seed=seed, num_hosts=hosts, mode=mode))
+                seen += _differential_balcon(inst, ObjectiveWeights.from_mph(math.inf), limit)
+        assert seen["calls"] > 0
+        if limit >= 64:
+            assert seen["cycled"] > 0 and seen["attempts cycled"] > 0, seen
+
+    def test_mixed_capacities_match_the_reference(self):
+        # hosts of unequal sizes, so a destination's candidates depend on
+        # both resources of the VM's demand
+        seen = Counter()
+        for seed in range(120):
+            rng = random.Random(seed)
+            caps = [(rng.randint(3, 10), rng.randint(3, 10)) for _ in range(rng.randint(3, 5))]
+            demands = [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(4)]
+            loads = [[0, 0] for _ in caps]
+            vms, initial = [], []
+            for _ in range(12):
+                f = rng.randrange(len(demands))
+                c, m = demands[f]
+                fits = [
+                    h for h, (cc, cm) in enumerate(caps) if loads[h][0] + c <= cc and loads[h][1] + m <= cm
+                ]
+                if fits:
+                    h = rng.choice(fits)
+                    loads[h][0] += c
+                    loads[h][1] += m
+                    vms.append(VM(len(vms), f))
+                    initial.append(h)
+            inst = Instance(
+                [Host(i, ResourceVec(c, m)) for i, (c, m) in enumerate(caps)],
+                [Flavor(i, ResourceVec(c, m)) for i, (c, m) in enumerate(demands)],
+                vms,
+                initial,
+            )
+            for h in range(len(caps)):
+                mu = inst.initial_mapping()
+                stashed = mu.vms_on(h)
+                for v in stashed:
+                    mu.unassign(v)
+                hosts = [g for g in mu.active_hosts() if g != h]
+                params = replace(INF_PARAMS, force_step_limit=64)
+                result, repeat = _differential(Stash(inst, stashed), hosts, mu, params)
+                seen[result.reason] += 1
+                seen["cycled"] += repeat is not None
+        assert seen["cycled"] > 0 and seen[None] > 0 and len(seen) > 3, seen
+
+    def test_stops_at_the_first_repeat(self):
+        # Releasing host 0 of tiny-corpus instance 7 first revisits a state
+        # after 18 Force Steps, one turn of 16 after its first visit at 2
+        # (recorded from the reference loop); Brent's power-of-two snapshots
+        # only noticed the cycle after 45 steps.
+        inst = tiny_instances(8)[7]
+        mu = inst.initial_mapping()
+        stashed = mu.vms_on(0)
+        for v in stashed:
+            mu.unassign(v)
+        hosts = [g for g in mu.active_hosts() if g != 0]
+        params = replace(INF_PARAMS, force_step_limit=300)
+        result, repeat = _differential(Stash(inst, stashed), hosts, mu, params)
+        assert (repeat, result.cycle_period) == (18, 16)
+        assert (result.force_steps, result.class_counts) == (300, {"lopsided": 301, "ample": 37})
+
+
+class TestCyclePeriod:
+    def test_force_fit_result(self, fig2):
+        mu = fig2.initial_mapping()
+        mu.unassign(RED)
+        assert force_fit(Stash(fig2, [RED]), [1, 2], mu, INF_PARAMS).cycle_period == 4
+        mu = fig2.initial_mapping()
+        mu.unassign(YELLOW)
+        assert force_fit(Stash(fig2, [YELLOW]), [0, 1, 2], mu, INF_PARAMS).cycle_period is None
+
+    def test_attempt_and_replay_carry_it(self, fig2):
+        engine = ReleaseEngine(fig2, INF_PARAMS.weights)
+
+        def place(stashed):
+            return force_fit(Stash(fig2, stashed), None, engine.mu, INF_PARAMS, None, engine)
+
+        attempt = engine.attempt(0, place)
+        assert (attempt.outcome, attempt.force_steps, attempt.cycle_period) == (
+            "budget_exhausted", 4000, 4
+        )
+        again = engine.replay(0)
+        assert again == attempt and again is not attempt
+        assert engine.attempt(2, place).cycle_period is None
+
+    def test_only_budget_exhausted_attempts_cycle(self):
+        cycled = Counter()
+        for _, inst, weights in GOLDEN_GROUPS["twins-12-hosts"]():
+            _, report = balcon(inst, SolverParams(weights=weights))
+            for a in report.attempts:
+                cycled[a.outcome, a.cycle_period is not None] += 1
+        assert cycled["budget_exhausted", True] > 0
+        assert {outcome for outcome, c in cycled if c} == {"budget_exhausted"}
+
+
 MPHS = st.sampled_from([0, 5, 10, math.inf])
 
 
@@ -720,9 +950,9 @@ def _count_host_lists(inst: Instance, weights: ObjectiveWeights, algo: str) -> l
     real_attempt, real_hosts = ReleaseEngine.attempt, ReleaseEngine.hosts
 
     def counted(name, real):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return real(*args)
+            return real(*args, **kwargs)
 
         return wrapper
 
