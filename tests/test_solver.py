@@ -621,7 +621,7 @@ def _differential_balcon(inst: Instance, weights: ObjectiveWeights, limit: int) 
         mp.setattr(solver, "force_fit", checked)
         _, report = balcon(inst, SolverParams(weights=weights, force_step_limit=limit))
     for a in report.attempts:
-        assert (a.cycle_period is not None) <= (a.outcome == "budget_exhausted")
+        assert a.cycle_period is None or a.outcome == "budget_exhausted"
     seen["attempts cycled"] += sum(a.cycle_period is not None for a in report.attempts)
     return seen
 
@@ -708,7 +708,7 @@ class TestFirstRepeat:
         # Releasing host 0 of tiny-corpus instance 7 first revisits a state
         # after 18 Force Steps, one turn of 16 after its first visit at 2
         # (recorded from the reference loop); Brent's power-of-two snapshots
-        # only noticed the cycle after 45 steps.
+        # would notice the cycle only after 45 steps.
         inst = tiny_instances(8)[7]
         mu = inst.initial_mapping()
         stashed = mu.vms_on(0)
@@ -722,14 +722,6 @@ class TestFirstRepeat:
 
 
 class TestCyclePeriod:
-    def test_force_fit_result(self, fig2):
-        mu = fig2.initial_mapping()
-        mu.unassign(RED)
-        assert force_fit(Stash(fig2, [RED]), [1, 2], mu, INF_PARAMS).cycle_period == 4
-        mu = fig2.initial_mapping()
-        mu.unassign(YELLOW)
-        assert force_fit(Stash(fig2, [YELLOW]), [0, 1, 2], mu, INF_PARAMS).cycle_period is None
-
     def test_attempt_and_replay_carry_it(self, fig2):
         engine = ReleaseEngine(fig2, INF_PARAMS.weights)
 
@@ -743,15 +735,6 @@ class TestCyclePeriod:
         again = engine.replay(0)
         assert again == attempt and again is not attempt
         assert engine.attempt(2, place).cycle_period is None
-
-    def test_only_budget_exhausted_attempts_cycle(self):
-        cycled = Counter()
-        for _, inst, weights in GOLDEN_GROUPS["twins-12-hosts"]():
-            _, report = balcon(inst, SolverParams(weights=weights))
-            for a in report.attempts:
-                cycled[a.outcome, a.cycle_period is not None] += 1
-        assert cycled["budget_exhausted", True] > 0
-        assert {outcome for outcome, c in cycled if c} == {"budget_exhausted"}
 
 
 MPHS = st.sampled_from([0, 5, 10, math.inf])
