@@ -218,26 +218,19 @@ def best_fit(v: int, hosts: Sequence[int], mu: Mapping) -> int | None:
 
 
 def choose_host_balanced(
-    v: int,
-    hosts: Sequence[int],
-    mu: Mapping,
-    prohibitor: RepeatsProhibitor,
-    *,
-    prefiltered: bool = False,
+    v: int, hosts: Sequence[int], mu: Mapping, prohibitor: RepeatsProhibitor
 ) -> int | None:
     """Destination with the most residents strictly smaller than v.
 
+    ``hosts`` are the candidates: the hosts that could hold v when empty,
+    ascending (``force_fit`` keeps that list per VM demand for an attempt).
     Ties go to the higher surrogate load, then the lower host id.  Returns
-    None when no host could hold v at all.  Only hosts that could hold v
-    when empty are candidates; ``prefiltered`` says that ``hosts`` holds
-    only such hosts (``force_fit`` keeps that list per VM demand for an
-    attempt), which saves the filter.
+    None when there is no candidate.
     """
-    inst = mu.inst
-    candidates = hosts if prefiltered else _capacity_candidates(v, hosts, inst)
-    if not candidates:
+    if not hosts:
         return None
-    allowed = prohibitor.filter(candidates) or candidates
+    inst = mu.inst
+    allowed = prohibitor.filter(hosts) or hosts
     target = inst.size_num(v)
     sizes = inst._size_num
     choice = None
@@ -266,22 +259,19 @@ def choose_host_lopsided(
     mu: Mapping,
     prohibitor: RepeatsProhibitor,
     toggle: ResourceToggle,
-    *,
-    prefiltered: bool = False,
 ) -> int | None:
     """Destination choice for the Lopsided state.
 
     When v's angle is extremal among the candidates' load angles, take the
     host with the most opposite angle and point the toggle at that host's
     larger load fraction.  Otherwise flip the toggle and take the host with
-    the largest load in that resource.  Ties go to the lower host id.  The
-    candidates and ``prefiltered`` are as in ``choose_host_balanced``.
+    the largest load in that resource.  Ties go to the lower host id.
+    ``hosts`` and the None result are as in ``choose_host_balanced``.
     """
-    inst = mu.inst
-    candidates = hosts if prefiltered else _capacity_candidates(v, hosts, inst)
-    if not candidates:
+    if not hosts:
         return None
-    allowed = prohibitor.filter(candidates) or candidates
+    inst = mu.inst
+    allowed = prohibitor.filter(hosts) or hosts
     vc, vm = inst.vm_cpu(v), inst.vm_mem(v)
     load_c = mu._load_c
     load_m = mu._load_m
@@ -413,6 +403,22 @@ def _run_out_cycle(
             steps += 1
 
 
+def _moves_cancel(moves: list[tuple[int, int, Sequence[int]]]) -> bool:
+    """Whether ``moves`` leave every VM on the host it started on.
+
+    Each move ``(v, h, evicted)`` places the stashed v on h and evicts the
+    VMs ``evicted`` from h to the stash, in that order."""
+    start: dict[int, int | None] = {}
+    end: dict[int, int | None] = {}
+    for v, h, evicted in moves:
+        start.setdefault(v, None)
+        end[v] = h
+        for w in evicted:
+            start.setdefault(w, h)
+            end[w] = None
+    return start == end
+
+
 def force_fit(
     stash: Stash,
     hosts: Sequence[int] | None,
@@ -437,18 +443,26 @@ def force_fit(
     prohibitor's last host and its count capped at the limit (``filter``
     reads only count >= limit) and the toggle; the next iteration depends on
     nothing else.  From the first Force Step on, every state is recorded
-    with the index of its iteration, and the classes of those iterations are
-    listed.  The first time a state comes back, the attempt can only go
-    round the iterations since its first visit until the budget runs out,
-    so it ends at once with the report that running out the budget would
-    have given (``_run_out_cycle``), with ``cycle_period`` the Force Steps
-    of one turn.  Before the first Force Step only Ample placements happen
-    and the stash strictly shrinks, so no state can repeat.  The record
-    lives for one attempt and holds one key of |V| + 3 entries per
-    iteration since the first Force Step: at most (iterations up to the
-    repeat) * (|V| + 3) entries.  Without a repeat the budget bounds the
-    iterations: each is a Force Step or places a VM that was stashed or
-    evicted.
+    with the index of its iteration, and the classes and the moves of those
+    iterations are listed.  The first time a state comes back, the attempt
+    can only go round the iterations since its first visit until the budget
+    runs out, so it ends at once with the report that running out the
+    budget would have given (``_run_out_cycle``), with ``cycle_period`` the
+    Force Steps of one turn.  Before the first Force Step only Ample
+    placements happen and the stash strictly shrinks, so no state can
+    repeat.
+
+    A state is recorded without a copy of the assignment.  Its key is the
+    small state and a running sum of ``hash((vm, host))`` that each move
+    updates, so equal states have equal keys.  A key seen before is a
+    repeat only when the moves since that visit leave every VM where it
+    was (``_moves_cancel``); when they do not, another assignment holds the
+    key and the search goes on under ``(key, index)``, as an equal state
+    would, so every state is told apart exactly.  The record lives for one
+    attempt and costs a constant per iteration since the first Force Step,
+    plus the VMs each one evicted, whatever the number of VMs.  Without a
+    repeat the budget bounds the iterations: each is a Force Step or places
+    a VM that was stashed or evicted.
 
     The hosts that could hold a VM demand when empty, the candidates of a
     destination choice, depend on the attempt's hosts and the fixed
@@ -484,16 +498,18 @@ def force_fit(
     balanced = ClusterClass.BALANCED
     inst = mu.inst
     vm_cpu, vm_mem = inst._vm_cpu, inst._vm_mem
-    host_of = mu._host_of
-    seen: dict[tuple, int] = {}  # loop state -> index of its iteration
+    moved = 0  # sum of hash((vm, host)) over the moves since the first Force Step
+    seen: dict[tuple, int] = {}  # state key -> index of its iteration
     classes: list[str] = []  # class names of those iterations
+    moves: list[tuple[int, int, Sequence[int]]] = []  # their moves, as _moves_cancel reads them
     fitting: dict[tuple[int, int], list[int]] = {}  # demand -> candidates
     while stash:
         if steps:
-            key = (tuple(host_of), prohibitor.last, min(prohibitor.count, prohibitor.limit), toggle.r)
-            i = seen.setdefault(key, len(classes))
-            if i < len(classes):
-                return _run_out_cycle(classes[i:], steps, counts, limit, trace)
+            key = (moved, prohibitor.last, min(prohibitor.count, prohibitor.limit), toggle.r)
+            while (i := seen.setdefault(key, len(classes))) < len(classes):
+                if _moves_cancel(moves[i:]):
+                    return _run_out_cycle(classes[i:], steps, counts, limit, trace)
+                key = (key, i)  # another assignment holds this key: probe on
         v = stash.peek()
         fresh = engine is not None and not steps
         dest = engine.best_fit(v) if fresh else best_fit(v, hosts, mu)
@@ -510,6 +526,9 @@ def force_fit(
             classes.append(name)
         if dest is not None:
             stash.pop()
+            if steps:
+                moved += hash((v, dest))
+                moves.append((v, dest, ()))
             if trace is not None:
                 trace({"event": "place", "class": name, "vm": v, "host": dest})
             continue
@@ -522,9 +541,9 @@ def force_fit(
         if candidates is None:
             candidates = fitting[demand] = _capacity_candidates(v, hosts, inst)
         if cls is balanced:
-            dest = choose_host_balanced(v, candidates, mu, prohibitor, prefiltered=True)
+            dest = choose_host_balanced(v, candidates, mu, prohibitor)
         else:
-            dest = choose_host_lopsided(v, candidates, mu, prohibitor, toggle, prefiltered=True)
+            dest = choose_host_lopsided(v, candidates, mu, prohibitor, toggle)
         if dest is None:
             # no host can hold v even when empty; the attempt cannot succeed
             return ForceFitResult(steps, counts, False, f"vm {v} fits no destination")
@@ -535,6 +554,11 @@ def force_fit(
         else:
             evicted = force_fit_lopsided(v, dest, mu)
         stash.extend(evicted)
+        if steps > 1:  # the iteration began after the first Force Step
+            moved += hash((v, dest))
+            for w in evicted:
+                moved -= hash((w, dest))
+            moves.append((v, dest, evicted))
         if trace is not None:
             trace(
                 {

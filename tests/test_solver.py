@@ -36,7 +36,7 @@ from balcon import (
 import balcon.solver as solver
 from balcon.sercon import sercon_modified, sercon_original
 from balcon.classify import ClusterClass, classify
-from balcon.solver import ForceFitResult, ReleaseEngine, free_ratio_key
+from balcon.solver import ForceFitResult, ReleaseEngine, _capacity_candidates, free_ratio_key
 
 from conftest import A, B, GREEN, RED, YELLOW, random_instance, tiny_instances
 from test_golden_reports import BASELINE_GROUPS, BASELINES, GROUPS as GOLDEN_GROUPS
@@ -141,7 +141,9 @@ class TestChooseHostBalanced:
         mu = inst.initial_mapping()
         mu.unassign(1)
         p = RepeatsProhibitor(3)
-        assert choose_host_balanced(1, [0], mu, p) is None
+        candidates = _capacity_candidates(1, [0], inst)
+        assert candidates == []
+        assert choose_host_balanced(1, candidates, mu, p) is None
 
 
 class TestChooseHostLopsided:
@@ -562,10 +564,11 @@ def _reference_force_fit(stash: Stash, hosts, mu: Mapping, params: SolverParams)
         counts[cls.value] = counts.get(cls.value, 0) + 1
         if steps >= limit:
             return end(False, "force-step budget exhausted")
+        candidates = _capacity_candidates(v, hosts, mu.inst)
         if cls is ClusterClass.BALANCED:
-            dest = choose_host_balanced(v, hosts, mu, prohibitor)
+            dest = choose_host_balanced(v, candidates, mu, prohibitor)
         else:
-            dest = choose_host_lopsided(v, hosts, mu, prohibitor, toggle)
+            dest = choose_host_lopsided(v, candidates, mu, prohibitor, toggle)
         if dest is None:
             return end(False, f"vm {v} fits no destination")
         steps += 1
@@ -703,6 +706,20 @@ class TestFirstRepeat:
                 seen[result.reason] += 1
                 seen["cycled"] += repeat is not None
         assert seen["cycled"] > 0 and seen[None] > 0 and len(seen) > 3, seen
+
+    def test_colliding_keys_are_told_apart(self, monkeypatch):
+        # With every move hashed to 0, all assignments share their key part,
+        # so only the moves since a visit tell states apart; the first
+        # repeat and the results must not change.
+        monkeypatch.setattr(solver, "hash", lambda item: 0, raising=False)
+        seen = Counter()
+        for inst in _tiny_sample():
+            seen += _differential_balcon(inst, ObjectiveWeights.from_mph(math.inf), 64)
+        for seed in range(6):
+            for mode in ("lopsided", "uniform"):
+                inst = generate_instance(GenConfig(seed=seed, num_hosts=6, mode=mode))
+                seen += _differential_balcon(inst, ObjectiveWeights.from_mph(math.inf), 64)
+        assert seen["cycled"] > 0 and seen["attempts cycled"] > 0, seen
 
     def test_stops_at_the_first_repeat(self):
         # Releasing host 0 of tiny-corpus instance 7 first revisits a state
@@ -933,9 +950,9 @@ def _count_host_lists(inst: Instance, weights: ObjectiveWeights, algo: str) -> l
     real_attempt, real_hosts = ReleaseEngine.attempt, ReleaseEngine.hosts
 
     def counted(name, real):
-        def wrapper(*args, **kwargs):
+        def wrapper(*args):
             calls[name] += 1
-            return real(*args, **kwargs)
+            return real(*args)
 
         return wrapper
 
