@@ -30,6 +30,7 @@ __all__ = [
     "potential_capacity",
     "balance_factor",
     "classify",
+    "fit_scan",
     "split_class",
 ]
 
@@ -148,7 +149,7 @@ def split_class(
     denominator s_cpu * s_mem, so ``cap = cap_num / (s_cpu * s_mem)`` and
     ``pcap = min(sum_c * s_mem, sum_m * s_cpu) / (s_cpu * s_mem)``, and the
     Lopsided tests cap < 1 and cap < alpha * pcap reduce to integer
-    comparisons.  ``classify`` computes the sums by a scan of the hosts,
+    comparisons.  ``fit_scan`` computes the sums by a scan of the hosts,
     ``solver.ReleaseEngine.classify`` from its free-space angle index; both
     decide here, so the rule is written once.
     """
@@ -158,6 +159,41 @@ def split_class(
     if cap_num * alpha.denominator < alpha.numerator * pcap_num:
         return ClusterClass.LOPSIDED
     return ClusterClass.BALANCED
+
+
+def fit_scan(
+    v: int, hosts: Sequence[int], mu: Mapping, s_cpu: int, s_mem: int
+) -> tuple[int | None, int, int, int]:
+    """One scan of ``hosts`` for placing VM ``v``, leaving ``mu`` as it is:
+    ``(choice, cap_num, sum_c, sum_m)``.
+
+    ``choice`` is the host that fits v with the highest surrogate load,
+    compared by integer cross-multiplication; the first of equals wins, so
+    ties go to the lower id when ``hosts`` ascend.  When no host fits v,
+    ``choice`` is None and the sums are ``split_class``'s over all the hosts
+    for the reference vector (s_cpu, s_mem); otherwise they mean nothing.
+    """
+    inst = mu.inst
+    cap_c, cap_m = inst._cap_cpu, inst._cap_mem
+    load_c, load_m = mu._load_c, mu._load_m
+    vc, vm = inst._vm_cpu[v], inst._vm_mem[v]
+    choice = None
+    # the best surrogate load so far as num / den; -1 is below every load
+    best_num, best_den = -1, 1
+    cap_num = sum_c = sum_m = 0
+    for h in hosts:
+        lc, lm, cc, cm = load_c[h], load_m[h], cap_c[h], cap_m[h]
+        fc, fm = cc - lc, cm - lm
+        if vc <= fc and vm <= fm:
+            num, den = lc * cm + lm * cc, cc * cm
+            if num * best_den > best_num * den:
+                choice, best_num, best_den = h, num, den
+        elif choice is None:
+            by_c, by_m = fc * s_mem, fm * s_cpu
+            cap_num += by_c if by_c < by_m else by_m
+            sum_c += fc
+            sum_m += fm
+    return choice, cap_num, sum_c, sum_m
 
 
 def classify(
@@ -172,28 +208,10 @@ def classify(
     ``v`` must still be in the stash: the reference vector is the aggregate
     stash demand including it, positive in both resources as every flavor's
     demand is.  Ample when some host fits v directly; else Lopsided when
-    cap < 1 or cap < alpha * pcap; else Balanced.
+    cap < 1 or cap < alpha * pcap; else Balanced, by one ``fit_scan``.
     """
-    inst = mu.inst
-    cap_c = inst._cap_cpu
-    cap_m = inst._cap_mem
-    load_c = mu._load_c
-    load_m = mu._load_m
-    vc = inst.vm_cpu(v)
-    vm = inst.vm_mem(v)
-    s_cpu = stash.cpu_total
-    s_mem = stash.mem_total
-    cap_num = 0
-    sum_c = 0
-    sum_m = 0
-    for h in hosts:
-        fc = cap_c[h] - load_c[h]
-        fm = cap_m[h] - load_m[h]
-        if vc <= fc and vm <= fm:
-            return ClusterClass.AMPLE
-        by_c = fc * s_mem
-        by_m = fm * s_cpu
-        cap_num += by_c if by_c < by_m else by_m
-        sum_c += fc
-        sum_m += fm
-    return split_class(cap_num, sum_c, sum_m, s_cpu, s_mem, alpha)
+    s_cpu, s_mem = stash.cpu_total, stash.mem_total
+    choice, *sums = fit_scan(v, hosts, mu, s_cpu, s_mem)
+    if choice is not None:
+        return ClusterClass.AMPLE
+    return split_class(*sums, s_cpu, s_mem, alpha)

@@ -198,7 +198,7 @@ def cmd_generate(args) -> int:
     cfg = GenConfig(
         seed=args.seed,
         num_hosts=_at_least("--hosts", args.hosts, 1),
-        host_capacity=ResourceVec(args.cpu, _at_least("--mem", args.mem, 2)),
+        host_capacity=ResourceVec(_at_least("--cpu", args.cpu, 1), _at_least("--mem", args.mem, 2)),
         num_flavors=_at_least("--flavors", args.flavors, 1),
         target_fill=args.fill,
         mode=args.mode,

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import accumulate, cycle
 from typing import Callable, Optional, Sequence
 
-from .classify import DEFAULT_ALPHA, ClusterClass, Stash, classify, split_class
+from .classify import DEFAULT_ALPHA, ClusterClass, Stash, fit_scan, split_class
 from .model import (
     Instance,
     Mapping,
@@ -96,10 +96,12 @@ class RepeatsProhibitor:
         self.last: int | None = None
         self.count = 0
 
-    def filter(self, candidates: Sequence[int]) -> list[int]:
+    def filter(self, candidates: Sequence[int]) -> Sequence[int]:
+        """The candidates without a blocked host; ``candidates`` itself when
+        no host is blocked, so the result is for reading only."""
         if self.last is not None and self.count >= self.limit:
             return [h for h in candidates if h != self.last]
-        return list(candidates)
+        return candidates
 
     def record(self, h: int) -> None:
         if h == self.last:
@@ -194,24 +196,11 @@ def best_fit(v: int, hosts: Sequence[int], mu: Mapping) -> int | None:
 
     Returns None, leaving ``mu`` untouched, when v fits none of the hosts.
     Only fitting hosts count, so ``hosts`` may be any ascending superset of
-    the fitting ones: the choice is the same.  ``ReleaseEngine.best_fit``
-    makes the same choice from its load-ordered room lists.
+    the fitting ones: the choice is the same.  It is the choice of
+    ``fit_scan``, the scan ``force_fit`` makes; ``ReleaseEngine.best_fit``
+    makes it from its load-ordered room lists.
     """
-    inst = mu.inst
-    vc, vm = inst._vm_cpu[v], inst._vm_mem[v]
-    cap_c, cap_m = inst._cap_cpu, inst._cap_mem
-    load_c, load_m = mu._load_c, mu._load_m
-    choice = None
-    # the best surrogate load so far as num / den; -1 is below every load
-    best_num, best_den = -1, 1
-    for h in hosts:
-        if cap_c[h] - load_c[h] < vc or cap_m[h] - load_m[h] < vm:
-            continue
-        cc, cm = cap_c[h], cap_m[h]
-        num = load_c[h] * cm + load_m[h] * cc
-        den = cc * cm
-        if num * best_den > best_num * den:
-            choice, best_num, best_den = h, num, den
+    choice = fit_scan(v, hosts, mu, 0, 0)[0]
     if choice is not None:
         mu.assign(v, choice)
     return choice
@@ -229,10 +218,9 @@ def choose_host_balanced(
     """
     if not hosts:
         return None
-    inst = mu.inst
     allowed = prohibitor.filter(hosts) or hosts
-    target = inst.size_num(v)
-    sizes = inst._size_num
+    sizes = mu.inst._size_num
+    target = sizes[v]
     choice = None
     best_count = -1
     for h in allowed:
@@ -242,15 +230,6 @@ def choose_host_balanced(
             best_count = count
     prohibitor.record(choice)
     return choice
-
-
-def _larger_load_resource(h: int, mu: Mapping) -> str:
-    lc, lm = mu.load_parts(h)
-    inst = mu.inst
-    # compare lc/cap_c vs lm/cap_m by cross multiplication; tie -> cpu
-    if lc * inst._cap_mem[h] >= lm * inst._cap_cpu[h]:
-        return "cpu"
-    return "mem"
 
 
 def choose_host_lopsided(
@@ -272,17 +251,15 @@ def choose_host_lopsided(
         return None
     inst = mu.inst
     allowed = prohibitor.filter(hosts) or hosts
-    vc, vm = inst.vm_cpu(v), inst.vm_mem(v)
-    load_c = mu._load_c
-    load_m = mu._load_m
+    vc, vm = inst._vm_cpu[v], inst._vm_mem[v]
+    load_c, load_m = mu._load_c, mu._load_m
 
     # One pass over the loaded candidates: extremal tests for v's angle and
-    # the min/max-angle hosts (ties to the lower id via the ascending scan).
-    v_ge_all = True
-    v_le_all = True
+    # the min/max-angle hosts (ties to the lower id via the ascending scan;
+    # min_h is -1 until a loaded candidate is seen).
+    v_ge_all = v_le_all = True
     min_h = max_h = -1
     min_lc = min_lm = max_lc = max_lm = 0
-    seen_loaded = False
     for h in allowed:
         lc, lm = load_c[h], load_m[h]
         if lc == 0 and lm == 0:
@@ -292,8 +269,7 @@ def choose_host_lopsided(
             v_ge_all = False
         if side > 0:
             v_le_all = False
-        if not seen_loaded:
-            seen_loaded = True
+        if min_h < 0:
             min_h = max_h = h
             min_lc, min_lm, max_lc, max_lm = lc, lm, lc, lm
             continue
@@ -302,21 +278,14 @@ def choose_host_lopsided(
         if lc * max_lm > max_lc * lm:
             max_h, max_lc, max_lm = h, lc, lm
 
-    choice: int | None = None
-    if seen_loaded:
-        if v_ge_all:
-            choice = min_h
-            toggle.r = _larger_load_resource(choice, mu)
-        elif v_le_all:
-            choice = max_h
-            toggle.r = _larger_load_resource(choice, mu)
-    if choice is None:
+    if min_h >= 0 and (v_ge_all or v_le_all):
+        choice, lc, lm = (min_h, min_lc, min_lm) if v_ge_all else (max_h, max_lc, max_lm)
+        # the larger load fraction, lc / cap_c against lm / cap_m; ties to cpu
+        toggle.r = "cpu" if lc * inst._cap_mem[choice] >= lm * inst._cap_cpu[choice] else "mem"
+    else:
         toggle.flip()
-        loads = load_c if toggle.r == "cpu" else load_m
-        choice = allowed[0]
-        for h in allowed[1:]:
-            if loads[h] > loads[choice]:
-                choice = h
+        # the first of the largest loads, so ties go to the lower id
+        choice = max(allowed, key=(load_c if toggle.r == "cpu" else load_m).__getitem__)
     prohibitor.record(choice)
     return choice
 
@@ -324,20 +293,27 @@ def choose_host_lopsided(
 def _evict_place_readd(v: int, h: int, mu: Mapping, order: list[int]) -> list[int]:
     """Shared Force Step mechanics: exclude residents in ``order`` until v
     fits, place v, then re-add excluded residents in reverse order when they
-    fit.  Returns the residents that stayed out."""
-    inst = mu.inst
-    if inst.vm_cpu(v) > inst._cap_cpu[h] or inst.vm_mem(v) > inst._cap_mem[h]:
+    fit.  Returns the residents that stayed out.
+
+    An overloaded h means a corrupt mapping and raises ``RuntimeError``.
+    It is tested once, up front: excluding residents only lowers h's load."""
+    inst, load_c, load_m = mu.inst, mu._load_c, mu._load_m
+    cpu, mem, cc, cm = inst._vm_cpu, inst._vm_mem, inst._cap_cpu[h], inst._cap_mem[h]
+    vc, vm = cpu[v], mem[v]
+    if vc > cc or vm > cm:
         raise RuntimeError(f"vm {v} cannot fit host {h} even when empty")
+    if load_c[h] > cc or load_m[h] > cm:
+        raise RuntimeError(f"host {h} is overloaded; mapping state is corrupt")
     excluded: list[int] = []
     for w in order:
-        if mu.fits(v, h):
+        if load_c[h] + vc <= cc and load_m[h] + vm <= cm:
             break
         mu.unassign(w)
         excluded.append(w)
     mu.assign(v, h)
     evicted: list[int] = []
     for w in reversed(excluded):
-        if mu.fits(w, h):
+        if load_c[h] + cpu[w] <= cc and load_m[h] + mem[w] <= cm:
             mu.assign(w, h)
         else:
             evicted.append(w)
@@ -348,7 +324,7 @@ def force_fit_balanced(v: int, h: int, mu: Mapping) -> list[int]:
     """Eviction order: residents migrated to h first, then smaller memory,
     then lower id."""
     initial, mem = mu.inst._initial, mu.inst._vm_mem
-    order = sorted(mu.members(h), key=lambda w: (initial[w] == h, mem[w], w))
+    order = sorted(mu._members[h], key=lambda w: (initial[w] == h, mem[w], w))
     return _evict_place_readd(v, h, mu, order)
 
 
@@ -357,15 +333,14 @@ def force_fit_lopsided(v: int, h: int, mu: Mapping) -> list[int]:
     angular side of v as the destination host."""
     initial, cpu, mem = mu.inst._initial, mu.inst._vm_cpu, mu.inst._vm_mem
     vc, vm = cpu[v], mem[v]
-    lc, lm = mu.load_parts(h)
-    host_below = _cross(lc, lm, vc, vm) < 0
-
-    def sort_key(w: int):
-        side = _cross(cpu[w], mem[w], vc, vm)
-        in_zone = side < 0 if host_below else side > 0
-        return (not in_zone, initial[w] == h, mem[w], w)
-
-    order = sorted(mu.members(h), key=sort_key)
+    # the zone is the side of v's angle the host's load lies on, as the sign
+    # of _cross(load, v): below v when negative, else above; a resident w is
+    # in it when sign * _cross(w, v) > 0
+    sign = -1 if mu._load_c[h] * vm < vc * mu._load_m[h] else 1
+    order = sorted(
+        mu._members[h],
+        key=lambda w: (sign * (cpu[w] * vm - vc * mem[w]) <= 0, initial[w] == h, mem[w], w),
+    )
     return _evict_place_readd(v, h, mu, order)
 
 
@@ -431,7 +406,7 @@ def force_fit(
 
     Each iteration first tries a direct Best Fit placement of the stash's
     largest VM v; the cluster is Ample exactly when one exists.  Only when v
-    fits no host does ``classify`` tell Balanced from Lopsided.  Direct
+    fits no host is Balanced told from Lopsided (``split_class``).  Direct
     placements are free; Balanced/Lopsided placements consume Force Steps up
     to the budget ``params.force_step_limit``.  On budget exhaustion, or when
     some VM fits no host even empty, the stash is left non-empty and the
@@ -486,14 +461,15 @@ def force_fit(
     Both rest on loads having changed only on the hosts the attempt moved
     VMs to or from.  A Force Step can lower a host's load by its evictions,
     after which a host may fit v that the room list left out, and every
-    eviction adds a host the index must correct for, so from then on Best
-    Fit scans ``hosts`` and ``classify`` scans them too.  Without an engine
-    both always scan ``hosts``.
+    eviction adds a host the index must correct for, so from then on each
+    iteration makes one ``fit_scan`` of ``hosts``, which finds the Best Fit
+    host or, on a miss, the sums ``split_class`` decides from.  Without an
+    engine every iteration makes that scan.
     """
-    limit = params.force_step_limit
+    limit, alpha = params.force_step_limit, params.alpha
     steps = 0
     counts: dict[str, int] = {}
-    prohibitor = RepeatsProhibitor(params.repeat_limit)
+    prohibitor = RepeatsProhibitor(repeat_limit := params.repeat_limit)
     toggle = ResourceToggle("cpu")
     balanced = ClusterClass.BALANCED
     inst = mu.inst
@@ -505,33 +481,38 @@ def force_fit(
     fitting: dict[tuple[int, int], list[int]] = {}  # demand -> candidates
     while stash:
         if steps:
-            key = (moved, prohibitor.last, min(prohibitor.count, prohibitor.limit), toggle.r)
+            count = prohibitor.count
+            key = (moved, prohibitor.last, count if count < repeat_limit else repeat_limit, toggle.r)
             while (i := seen.setdefault(key, len(classes))) < len(classes):
                 if _moves_cancel(moves[i:]):
                     return _run_out_cycle(classes[i:], steps, counts, limit, trace)
                 key = (key, i)  # another assignment holds this key: probe on
         v = stash.peek()
-        fresh = engine is not None and not steps
-        dest = engine.best_fit(v) if fresh else best_fit(v, hosts, mu)
-        if dest is None:
-            if fresh:
-                cls = engine.classify(stash.cpu_total, stash.mem_total, params.alpha)
-            else:
-                cls = classify(stash, hosts, mu, v, params.alpha)
-            name = _BALANCED if cls is balanced else _LOPSIDED
+        if not steps and engine is not None:
+            dest = engine.best_fit(v)
+            if dest is None:
+                cls = engine.classify(stash.cpu_total, stash.mem_total, alpha)
         else:
-            name = _AMPLE
-        counts[name] = counts.get(name, 0) + 1
-        if steps:
-            classes.append(name)
+            s_cpu, s_mem = stash.cpu_total, stash.mem_total
+            dest, cap_num, sum_c, sum_m = fit_scan(v, hosts, mu, s_cpu, s_mem)
+            if dest is None:
+                cls = split_class(cap_num, sum_c, sum_m, s_cpu, s_mem, alpha)
+            else:
+                mu.assign(v, dest)
         if dest is not None:
+            counts[_AMPLE] = counts.get(_AMPLE, 0) + 1
             stash.pop()
             if steps:
+                classes.append(_AMPLE)
                 moved += hash((v, dest))
                 moves.append((v, dest, ()))
             if trace is not None:
-                trace({"event": "place", "class": name, "vm": v, "host": dest})
+                trace({"event": "place", "class": _AMPLE, "vm": v, "host": dest})
             continue
+        name = _BALANCED if cls is balanced else _LOPSIDED
+        counts[name] = counts.get(name, 0) + 1
+        if steps:
+            classes.append(name)
         if steps >= limit:
             return ForceFitResult(steps, counts, False, _BUDGET_EXHAUSTED)
         if hosts is None:
@@ -542,17 +523,16 @@ def force_fit(
             candidates = fitting[demand] = _capacity_candidates(v, hosts, inst)
         if cls is balanced:
             dest = choose_host_balanced(v, candidates, mu, prohibitor)
+            evict = force_fit_balanced
         else:
             dest = choose_host_lopsided(v, candidates, mu, prohibitor, toggle)
+            evict = force_fit_lopsided
         if dest is None:
             # no host can hold v even when empty; the attempt cannot succeed
             return ForceFitResult(steps, counts, False, f"vm {v} fits no destination")
         steps += 1
         stash.pop()
-        if cls is balanced:
-            evicted = force_fit_balanced(v, dest, mu)
-        else:
-            evicted = force_fit_lopsided(v, dest, mu)
+        evicted = evict(v, dest, mu)
         stash.extend(evicted)
         if steps > 1:  # the iteration began after the first Force Step
             moved += hash((v, dest))

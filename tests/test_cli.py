@@ -266,7 +266,13 @@ class TestGenerate:
     def test_zero_cpu_capacity(self, tmp_path, capsys):
         out = tmp_path / "z.json"
         assert main(["generate", "--cpu", "0", "--seed", "1", "--hosts", "4", "-o", str(out)]) == 2
-        assert "error: host cpu capacity must be at least 1, got 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --cpu must be at least 1, got 0\n"
+        assert not out.exists()
+
+    def test_negative_cpu_capacity(self, tmp_path, capsys):
+        out = tmp_path / "n.json"
+        assert main(["generate", "--cpu", "-5", "--seed", "1", "--hosts", "4", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --cpu must be at least 1, got -5\n"
         assert not out.exists()
 
 

@@ -35,7 +35,14 @@ from balcon import (
 )
 import balcon.solver as solver
 from balcon.sercon import sercon_modified, sercon_original
-from balcon.classify import ClusterClass, classify
+from balcon.classify import (
+    ClusterClass,
+    capacity,
+    classify,
+    fit_scan,
+    potential_capacity,
+    split_class,
+)
 from balcon.solver import ForceFitResult, ReleaseEngine, _capacity_candidates, free_ratio_key
 
 from conftest import A, B, GREEN, RED, YELLOW, random_instance, tiny_instances
@@ -105,6 +112,60 @@ class TestBestFit:
         assert best_fit(RED, [1, 2], mu) is None
         assert mu == before
         assert [mu.load_parts(h) for h in range(3)] == [before.load_parts(h) for h in range(3)]
+        assert mu.caches_consistent()
+
+
+def _random_partial(seed: int):
+    """A random instance with a random share of its VMs stashed: the
+    mapping, the stash and a random ascending subset of the hosts."""
+    rng = random.Random(seed)
+    inst = random_instance(rng, max_hosts=6, max_vms=12)
+    mu = inst.initial_mapping()
+    stashed = [v for v in range(len(inst.vms)) if rng.random() < 0.5] or [0]
+    for v in stashed:
+        mu.unassign(v)
+    hosts = sorted(rng.sample(range(len(inst.hosts)), rng.randint(0, len(inst.hosts))))
+    return rng, inst, mu, Stash(inst, stashed), hosts
+
+
+class TestOneScan:
+    """``fit_scan``, and ``best_fit`` and ``classify`` through it, against
+    the definitions: Best Fit is the argmax of the exact ``surrogate_load``
+    over the fitting hosts, ties to the lower id; the class of a miss is
+    Lopsided iff cap < 1 or cap < alpha * pcap (``classify.capacity``,
+    ``classify.potential_capacity``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32), st.booleans(), st.integers(0, 20))
+    def test_matches_the_definitions(self, seed, miss, alpha_20ths):
+        rng, inst, mu, stash, hosts = _random_partial(seed)
+        v = stash.peek()
+        if miss:  # keep only the hosts v does not fit, so misses are common
+            hosts = [h for h in range(len(inst.hosts)) if not mu.fits(v, h)]
+        alpha = Fraction(alpha_20ths, 20)
+        s_cpu, s_mem = stash.cpu_total, stash.mem_total
+        before = mu.copy()
+        choice, cap_num, sum_c, sum_m = fit_scan(v, hosts, mu, s_cpu, s_mem)
+        assert mu == before
+        fitting = [h for h in hosts if mu.fits(v, h)]
+        if fitting:
+            top = max(surrogate_load(h, mu) for h in fitting)
+            assert choice == min(h for h in fitting if surrogate_load(h, mu) == top)
+            assert classify(stash, hosts, mu, v, alpha) is ClusterClass.AMPLE
+            assert best_fit(v, hosts, mu) == choice
+            assert mu.host_of(v) == choice
+        else:
+            assert choice is None
+            cap = capacity((s_cpu, s_mem), hosts, mu)
+            pcap = potential_capacity((s_cpu, s_mem), hosts, mu)
+            want = ClusterClass.LOPSIDED if cap < 1 or cap < alpha * pcap else ClusterClass.BALANCED
+            assert split_class(cap_num, sum_c, sum_m, s_cpu, s_mem, alpha) is want
+            assert classify(stash, hosts, mu, v, alpha) is want
+            assert best_fit(v, hosts, mu) is None
+            assert mu == before
+            assert [mu.load_parts(h) for h in range(len(inst.hosts))] == [
+                before.load_parts(h) for h in range(len(inst.hosts))
+            ]
         assert mu.caches_consistent()
 
 
@@ -263,6 +324,72 @@ class TestForceFitLopsided:
         assert mu.host_of(2) == 0
         assert mu.host_of(1) == 0
         assert evicted == [0]
+
+
+def _reference_evict(v: int, h: int, mu: Mapping, lopsided: bool) -> list[int]:
+    """The Force Step mechanics from their documented orders, tested through
+    ``Mapping.fits``.  Balanced: residents migrated to h first, then smaller
+    memory, then lower id.  Lopsided: first the residents on the side of v's
+    angle (cpu / mem) where h's load lies, below it or else strictly above
+    it, then as Balanced.  Exclude in that order until v fits, place v, then
+    re-add the excluded ones in reverse order when they fit."""
+    inst = mu.inst
+    lc, lm = mu.load_parts(h)
+    angle = Fraction(inst.vm_cpu(v), inst.vm_mem(v))
+    below = lm > 0 and Fraction(lc, lm) < angle
+
+    def key(w):
+        wa = Fraction(inst.vm_cpu(w), inst.vm_mem(w))
+        in_zone = (wa < angle if below else wa > angle) if lopsided else True
+        return (not in_zone, inst.initial_host(w) == h, inst.vm_mem(w), w)
+
+    excluded = []
+    for w in sorted(mu.members(h), key=key):
+        if mu.fits(v, h):
+            break
+        mu.unassign(w)
+        excluded.append(w)
+    mu.assign(v, h)
+    evicted = []
+    for w in reversed(excluded):
+        if mu.fits(w, h):
+            mu.assign(w, h)
+        else:
+            evicted.append(w)
+    return evicted
+
+
+class TestEvictions:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32), st.booleans())
+    def test_matches_the_documented_orders(self, seed, lopsided):
+        # a chain of Force Steps on random partial mappings, each checked
+        rng, inst, mu, stash, _ = _random_partial(seed)
+        evict = force_fit_lopsided if lopsided else force_fit_balanced
+        ref_mu = mu.copy()
+        for _ in range(6):
+            if not stash:
+                break
+            v = stash.pop()
+            dests = _capacity_candidates(v, range(len(inst.hosts)), inst)
+            if not dests:
+                break
+            h = rng.choice(dests)
+            evicted = evict(v, h, mu)
+            assert evicted == _reference_evict(v, h, ref_mu, lopsided)
+            assert mu.assignment == ref_mu.assignment
+            assert mu.caches_consistent()
+            assert all(min(mu.free_parts(g)) >= 0 for g in range(len(inst.hosts)))
+            stash.extend(evicted)
+
+    @pytest.mark.parametrize("evict", [force_fit_balanced, force_fit_lopsided])
+    def test_overloaded_destination_raises(self, evict):
+        hosts = [Host(0, ResourceVec(4, 4)), Host(1, ResourceVec(4, 4))]
+        flavors = [Flavor(0, ResourceVec(3, 3)), Flavor(1, ResourceVec(1, 1))]
+        inst = Instance(hosts, flavors, [VM(0, 0), VM(1, 0), VM(2, 1)], [0, 1, 0])
+        mu = Mapping(inst, [0, 0, None])  # host 0 holds (6, 6) of (4, 4)
+        with pytest.raises(RuntimeError, match="host 0 is overloaded"):
+            evict(2, 0, mu)
 
 
 class TestForceFit:
