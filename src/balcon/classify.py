@@ -181,18 +181,24 @@ def fit_scan(
     # the best surrogate load so far as num / den; -1 is below every load
     best_num, best_den = -1, 1
     cap_num = sum_c = sum_m = 0
+    # one name per assignment: here tuple assignments cost up to a third more
     for h in hosts:
-        lc, lm, cc, cm = load_c[h], load_m[h], cap_c[h], cap_m[h]
-        fc, fm = cc - lc, cm - lm
-        if vc <= fc and vm <= fm:
-            num, den = lc * cm + lm * cc, cc * cm
-            if num * best_den > best_num * den:
-                choice, best_num, best_den = h, num, den
-        elif choice is None:
-            by_c, by_m = fc * s_mem, fm * s_cpu
-            cap_num += by_c if by_c < by_m else by_m
-            sum_c += fc
-            sum_m += fm
+        fc = cap_c[h] - load_c[h]
+        fm = cap_m[h] - load_m[h]
+        if fc < vc or fm < vm:
+            if choice is None:
+                by_c = fc * s_mem
+                by_m = fm * s_cpu
+                cap_num += by_c if by_c < by_m else by_m
+                sum_c += fc
+                sum_m += fm
+            continue
+        cc = cap_c[h]
+        cm = cap_m[h]
+        num = load_c[h] * cm + load_m[h] * cc
+        den = cc * cm
+        if num * best_den > best_num * den:
+            choice, best_num, best_den = h, num, den
     return choice, cap_num, sum_c, sum_m
 
 

@@ -97,8 +97,7 @@ class RepeatsProhibitor:
         self.count = 0
 
     def filter(self, candidates: Sequence[int]) -> Sequence[int]:
-        """The candidates without a blocked host; ``candidates`` itself when
-        no host is blocked, so the result is for reading only."""
+        """The candidates but a blocked host; when none is, ``candidates`` itself, to read only."""
         if self.last is not None and self.count >= self.limit:
             return [h for h in candidates if h != self.last]
         return candidates
@@ -293,10 +292,9 @@ def choose_host_lopsided(
 def _evict_place_readd(v: int, h: int, mu: Mapping, order: list[int]) -> list[int]:
     """Shared Force Step mechanics: exclude residents in ``order`` until v
     fits, place v, then re-add excluded residents in reverse order when they
-    fit.  Returns the residents that stayed out.
-
-    An overloaded h means a corrupt mapping and raises ``RuntimeError``.
-    It is tested once, up front: excluding residents only lowers h's load."""
+    fit.  Returns the residents that stayed out.  An overloaded h, a corrupt
+    mapping, raises ``RuntimeError``; one test up front covers every step,
+    as excluding residents only lowers h's load."""
     inst, load_c, load_m = mu.inst, mu._load_c, mu._load_m
     cpu, mem, cc, cm = inst._vm_cpu, inst._vm_mem, inst._cap_cpu[h], inst._cap_mem[h]
     vc, vm = cpu[v], mem[v]
@@ -333,9 +331,8 @@ def force_fit_lopsided(v: int, h: int, mu: Mapping) -> list[int]:
     angular side of v as the destination host."""
     initial, cpu, mem = mu.inst._initial, mu.inst._vm_cpu, mu.inst._vm_mem
     vc, vm = cpu[v], mem[v]
-    # the zone is the side of v's angle the host's load lies on, as the sign
-    # of _cross(load, v): below v when negative, else above; a resident w is
-    # in it when sign * _cross(w, v) > 0
+    # the zone is the side of v's angle (cpu / mem) where h's load lies, below
+    # it or else strictly above: w is in it iff sign * (cpu[w] * vm - vc * mem[w]) > 0
     sign = -1 if mu._load_c[h] * vm < vc * mu._load_m[h] else 1
     order = sorted(
         mu._members[h],
@@ -469,7 +466,7 @@ def force_fit(
     limit, alpha = params.force_step_limit, params.alpha
     steps = 0
     counts: dict[str, int] = {}
-    prohibitor = RepeatsProhibitor(repeat_limit := params.repeat_limit)
+    prohibitor = RepeatsProhibitor(params.repeat_limit)
     toggle = ResourceToggle("cpu")
     balanced = ClusterClass.BALANCED
     inst = mu.inst
@@ -481,8 +478,7 @@ def force_fit(
     fitting: dict[tuple[int, int], list[int]] = {}  # demand -> candidates
     while stash:
         if steps:
-            count = prohibitor.count
-            key = (moved, prohibitor.last, count if count < repeat_limit else repeat_limit, toggle.r)
+            key = (moved, prohibitor.last, min(prohibitor.count, prohibitor.limit), toggle.r)
             while (i := seen.setdefault(key, len(classes))) < len(classes):
                 if _moves_cancel(moves[i:]):
                     return _run_out_cycle(classes[i:], steps, counts, limit, trace)
