@@ -97,7 +97,7 @@ class RepeatsProhibitor:
         self.count = 0
 
     def filter(self, candidates: Sequence[int]) -> Sequence[int]:
-        """The candidates but a blocked host; when none is, ``candidates`` itself, to read only."""
+        """``candidates`` without the blocked host; ``candidates`` itself, read-only, if none is."""
         if self.last is not None and self.count >= self.limit:
             return [h for h in candidates if h != self.last]
         return candidates
