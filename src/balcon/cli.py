@@ -139,19 +139,20 @@ def _emit_instance(inst, path: str | None) -> None:
         sys.stdout.write("\n")
 
 
-def _report_dict(report) -> dict:
-    def num(x):
-        if x == math.inf:
-            return "inf"
-        if isinstance(x, Fraction):
-            return str(x) if x.denominator != 1 else int(x)
-        return x
+def _json_number(x):
+    if x == math.inf:
+        return "inf"
+    if isinstance(x, Fraction):
+        return str(x) if x.denominator != 1 else int(x)
+    return x
 
+
+def _report_dict(report) -> dict:
     return {
         "algorithm": report.algorithm,
         "active_hosts": report.active_hosts,
         "migrated_mem": report.migrated_mem,
-        "objective": num(report.objective),
+        "objective": _json_number(report.objective),
         "force_steps": report.force_steps,
         "wall_time": report.wall_time,
         "attempts": [
@@ -221,11 +222,10 @@ def cmd_oracle(args) -> int:
     )
     result = brute_force_optimal(inst, ObjectiveWeights.from_mph(args.mph), limits)
     _emit_instance(instance_with_mapping(inst, result.mapping), args.output)
-    obj = result.objective
     print(
         json.dumps(
             {
-                "objective": str(obj) if isinstance(obj, Fraction) and obj.denominator != 1 else int(obj),
+                "objective": _json_number(result.objective),
                 "active_hosts": result.mapping.active_count(),
                 "explored": result.explored,
             }

@@ -141,12 +141,11 @@ def evaluate_instance(
     inst: Instance,
     algorithms: Sequence[str],
     params: SolverParams,
-    oracle_limits: OracleLimits | None = None,
     lb_objective: object | None = None,
 ) -> list[GapRecord]:
     mu0 = inst.initial_mapping()
     init_obj = objective(mu0, mu0, params.weights)
-    ref_kind, ref_obj = resolve_reference(inst, params.weights, oracle_limits, lb_objective)
+    ref_kind, ref_obj = resolve_reference(inst, params.weights, lb_objective=lb_objective)
     records = []
     for name in algorithms:
         _, report = ALGORITHMS[name](inst, params)
@@ -174,11 +173,9 @@ def mph_sweep(
     algorithms: Sequence[str],
     mph_grid: Sequence[object],
     base_params: SolverParams | None = None,
-    oracle_limits: OracleLimits | None = None,
-    lb_objectives: dict[object, object] | None = None,
 ) -> list[SweepPoint]:
-    """One run per (mph, algorithm) on the same instance, with a per-mph
-    reference objective where one is available."""
+    """One run per (mph, algorithm) on the same instance, with the oracle's
+    objective per mph as the reference where the oracle takes the instance."""
     points: list[SweepPoint] = []
     for mph in mph_grid:
         weights = ObjectiveWeights.from_mph(mph)
@@ -186,8 +183,7 @@ def mph_sweep(
             params = SolverParams(weights=weights)
         else:
             params = replace(base_params, weights=weights)
-        lb = None if lb_objectives is None else lb_objectives.get(mph)
-        ref_kind, ref_obj = resolve_reference(inst, weights, oracle_limits, lb)
+        ref_kind, ref_obj = resolve_reference(inst, weights)
         mu0 = inst.initial_mapping()
         init_obj = objective(mu0, mu0, weights)
         for name in algorithms:

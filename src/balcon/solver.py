@@ -174,11 +174,6 @@ def _capacity_candidates(v: int, hosts: Sequence[int], inst: Instance) -> list[i
     return [h for h in hosts if vc <= cap_c[h] and vm <= cap_m[h]]
 
 
-def _cross(a_cpu: int, a_mem: int, b_cpu: int, b_mem: int) -> int:
-    # sign(angle(a) - angle(b)) for non-zero vectors
-    return a_cpu * b_mem - b_cpu * a_mem
-
-
 def _surrogate_gt(mu: Mapping, a: int, b: int) -> bool:
     # surrogate_load(a) > surrogate_load(b) via integer cross multiplication
     inst = mu.inst
@@ -393,13 +388,12 @@ def _moves_cancel(moves: list[tuple[int, int, Sequence[int]]]) -> bool:
 
 def force_fit(
     stash: Stash,
-    hosts: Sequence[int] | None,
-    mu: Mapping,
+    engine: ReleaseEngine,
     params: SolverParams,
     trace: TraceSink = None,
-    engine: ReleaseEngine | None = None,
 ) -> ForceFitResult:
-    """Drain the stash into ``hosts``, mutating ``mu``.
+    """Drain the stash of the release attempt ``engine`` has open
+    (``ReleaseEngine.begin``) into the attempt's hosts, mutating ``engine.mu``.
 
     Each iteration first tries a direct Best Fit placement of the stash's
     largest VM v; the cluster is Ample exactly when one exists.  Only when v
@@ -440,28 +434,25 @@ def force_fit(
     destination choice, depend on the attempt's hosts and the fixed
     capacities only, so each demand's list is built once per attempt.
 
-    ``engine``, when given, is the ``ReleaseEngine`` whose attempt this is,
-    and ``hosts`` are that attempt's hosts, or None to have them built by
-    ``engine.hosts()`` at the first Force Step decision, just before the
-    first destination choice; an attempt that ends before it builds no host
-    list.  Without an engine, ``hosts`` is required.  Until the first Force
-    Step the engine serves two scans:
+    The attempt's hosts are built by ``engine.hosts()`` at the first Force
+    Step decision, just before the first destination choice; an attempt
+    that ends before it builds no host list.  Until the first Force Step the
+    engine serves two scans:
 
     - Best Fit is ``engine.best_fit(v)``, which reads the head of v's
       load-ordered room list and the attempt's destinations instead of
-      scanning ``hosts``;
+      scanning the hosts;
     - when v fits none of them, ``engine.classify`` tells Balanced from
       Lopsided from its free-space angle index instead of ``classify``'s
-      scan of ``hosts``.  It skips the Ample test, which is sound because
+      scan of the hosts.  It skips the Ample test, which is sound because
       Best Fit has just found no host of the attempt that fits v.
 
     Both rest on loads having changed only on the hosts the attempt moved
     VMs to or from.  A Force Step can lower a host's load by its evictions,
     after which a host may fit v that the room list left out, and every
     eviction adds a host the index must correct for, so from then on each
-    iteration makes one ``fit_scan`` of ``hosts``, which finds the Best Fit
-    host or, on a miss, the sums ``split_class`` decides from.  Without an
-    engine every iteration makes that scan.
+    iteration makes one ``fit_scan`` of the hosts, which finds the Best Fit
+    host or, on a miss, the sums ``split_class`` decides from.
     """
     limit, alpha = params.force_step_limit, params.alpha
     steps = 0
@@ -469,8 +460,10 @@ def force_fit(
     prohibitor = RepeatsProhibitor(params.repeat_limit)
     toggle = ResourceToggle("cpu")
     balanced = ClusterClass.BALANCED
+    mu = engine.mu
     inst = mu.inst
     vm_cpu, vm_mem = inst._vm_cpu, inst._vm_mem
+    hosts = None
     moved = 0  # sum of hash((vm, host)) over the moves since the first Force Step
     seen: dict[tuple, int] = {}  # state key -> index of its iteration
     classes: list[str] = []  # class names of those iterations
@@ -484,7 +477,7 @@ def force_fit(
                     return _run_out_cycle(classes[i:], steps, counts, limit, trace)
                 key = (key, i)  # another assignment holds this key: probe on
         v = stash.peek()
-        if not steps and engine is not None:
+        if not steps:
             dest = engine.best_fit(v)
             if dest is None:
                 cls = engine.classify(stash.cpu_total, stash.mem_total, alpha)
@@ -552,10 +545,10 @@ class ReleaseEngine:
     """Release attempts on one mapping, each kept or undone by the objective
     test; shared by ``balcon`` and the Sercon baselines.
 
-    ``attempt(h, place, miss)`` stashes the VMs of host h and hands them to
-    the placement policy ``place(stashed)``, which places them on ``mu``; a
-    policy that scans the attempt's hosts asks ``hosts()`` for them, and
-    only when it scans them (``force_fit`` at its first Force Step
+    ``attempt(h, place, miss)`` stashes the VMs of host h (``begin``) and
+    hands them to the placement policy ``place(stashed)``, which places them
+    on ``mu``; a policy that scans the attempt's hosts asks ``hosts()`` for
+    them, and only when it scans them (``force_fit`` at its first Force Step
     decision), so an attempt that never scans builds no host list.  The
     result is kept when the policy completes, the mapping is feasible and
     the objective does not increase; otherwise the mapping is rolled back to
@@ -889,6 +882,18 @@ class ReleaseEngine:
             return math.inf
         return self.floor_active + self.weights.w_m * (self.lost_mem + self.init_mem[h])
 
+    def begin(self, h: int) -> tuple[int, ...]:
+        """Open a release attempt of host h: unassign h's VMs and return
+        them, ascending, as the stash.  ``attempt`` closes it by commit or
+        rollback; a caller outside ``attempt``, by ``mu.rollback()``."""
+        self.releasing = h
+        self.mu.begin()
+        self.dests.clear()
+        stashed = self.mu.vms_on(h)
+        for v in stashed:
+            self.mu.unassign(v)
+        return stashed
+
     def attempt(
         self,
         h: int,
@@ -900,7 +905,7 @@ class ReleaseEngine:
         if mu._members[h] and self.lower_bound(h) > self.best_obj:
             outcome = SKIPPED
         else:
-            self.releasing = h
+            self.releasing = h  # for the first-miss probe, which opens nothing
             stashed = mu.vms_on(h)
             if trace is not None:
                 trace({"event": "release_attempt", "host": h, "stash": list(stashed)})
@@ -908,11 +913,7 @@ class ReleaseEngine:
             if first is not None:
                 result = miss(first, stashed)
             else:
-                mu.begin()
-                self.dests.clear()
-                for v in stashed:
-                    mu.unassign(v)
-                result = place(stashed)
+                result = place(self.begin(h))
             steps, counts = result.force_steps, result.class_counts
             cycle_period = result.cycle_period
             self.force_steps += steps
@@ -1072,7 +1073,7 @@ def balcon(
     costs = migration_costs(engine.mu0, engine.mu0)
 
     def place(stashed: tuple[int, ...]) -> ForceFitResult:
-        return force_fit(Stash(inst, stashed), None, engine.mu, params, trace, engine)
+        return force_fit(Stash(inst, stashed), engine, params, trace)
 
     def miss(v: int, stashed: tuple[int, ...]) -> ForceFitResult:
         # force_fit's result on a zero budget when the stash's largest VM

@@ -318,12 +318,12 @@ class TestEval:
             ]
         )
         assert code == 0
-        gaps = list(csv.DictReader(open(out_dir / "gaps.csv")))
+        gaps = list(csv.DictReader((out_dir / "gaps.csv").read_text().splitlines()))
         assert {r["algorithm"] for r in gaps} == {"balcon", "sercon-mod"}
         balcon_row = [r for r in gaps if r["algorithm"] == "balcon"][0]
         assert balcon_row["gap"] == "0"
         assert balcon_row["ref_kind"] == "oracle"
-        profile = list(csv.DictReader(open(out_dir / "profile.csv")))
+        profile = list(csv.DictReader((out_dir / "profile.csv").read_text().splitlines()))
         assert profile
 
     def test_unknown_algorithm_is_usage_error(self, fig2_path, tmp_path):
@@ -347,7 +347,7 @@ class TestSweep:
             ["sweep", "--grid", "0,4,8,inf", "-o", str(out), str(fig2_path)]
         )
         assert code == 0
-        rows = list(csv.DictReader(open(out)))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 8  # 4 grid points x 2 default algorithms
         by_key = {(r["mph"], r["algorithm"]): r for r in rows}
         assert by_key[("inf", "balcon")]["active_hosts"] == "2"

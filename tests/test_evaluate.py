@@ -162,7 +162,7 @@ class TestCsvWriters:
     def test_gaps_csv(self, tmp_path):
         path = tmp_path / "gaps.csv"
         write_gaps_csv([record(Fraction(1, 2)), record(None)], path)
-        rows = list(csv.DictReader(open(path)))
+        rows = list(csv.DictReader(path.read_text().splitlines()))
         assert len(rows) == 2
         assert rows[0]["gap"] == "0.5"
         assert rows[1]["gap"] == ""
@@ -171,7 +171,7 @@ class TestCsvWriters:
     def test_profile_csv(self, tmp_path):
         path = tmp_path / "profile.csv"
         write_profile_csv([(Fraction(0), Fraction(1, 3))], path)
-        rows = list(csv.reader(open(path)))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["threshold", "fraction"]
         assert rows[1][0] == "0"
 
@@ -179,7 +179,7 @@ class TestCsvWriters:
         points = mph_sweep(fig2, ["balcon"], [0, math.inf])
         path = tmp_path / "sweep.csv"
         write_sweep_csv(points, path)
-        rows = list(csv.DictReader(open(path)))
+        rows = list(csv.DictReader(path.read_text().splitlines()))
         assert rows[0]["mph"] == "0"
         assert rows[1]["mph"] == "inf"
         assert rows[1]["active_hosts"] == "2"

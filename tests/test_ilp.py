@@ -360,6 +360,6 @@ class TestSolverChain:
             ]
         )
         assert code == 0
-        rows = list(csv.DictReader(open(tmp_path / "out" / "gaps.csv")))
+        rows = list(csv.DictReader((tmp_path / "out" / "gaps.csv").read_text().splitlines()))
         assert rows[0]["ref_kind"] == "lb"
         assert rows[0]["ref_objective"] != ""

@@ -27,7 +27,6 @@ from balcon import (
     surrogate_load,
     vm_size,
 )
-from balcon.solver import _cross
 
 from conftest import A, GREEN, RED, random_instance
 
@@ -187,6 +186,11 @@ class TestScalarMeasures:
         assert surrogate_load(0, empty) == 0
         packed = Mapping(fig2, [0, 0, 1, 2, 0])  # host 0: red + a + yellow = (6,6)
         assert surrogate_load(0, packed) == 2
+
+
+def _cross(a_cpu: int, a_mem: int, b_cpu: int, b_mem: int) -> int:
+    # sign(angle(a) - angle(b)) for non-zero vectors
+    return a_cpu * b_mem - b_cpu * a_mem
 
 
 class TestAngleKey:

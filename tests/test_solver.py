@@ -392,18 +392,38 @@ class TestEvictions:
             evict(2, 0, mu)
 
 
+def _release(inst: Instance, h: int, params: SolverParams = INF_PARAMS, trace=None):
+    """ForceFit on the release of host h from the initial mapping, opened
+    by ``ReleaseEngine.begin`` outside ``attempt`` (so without its
+    lower-bound skip and first-miss probe) and left open; returns the result
+    and the mapping."""
+    engine = ReleaseEngine(inst, params.weights)
+    result = force_fit(Stash(inst, engine.begin(h)), engine, params, trace)
+    return result, engine.mu
+
+
+def _fig2_without_b() -> Instance:
+    # fig2 without b and with a fourth host, empty: host 2 holds yellow
+    # alone, which fits host 0 only
+    demands = [(3, 3), (1, 2), (2, 4), (2, 1)]  # red, a, green, yellow
+    return Instance(
+        [Host(i, ResourceVec(6, 6)) for i in range(4)],
+        [Flavor(i, ResourceVec(c, m)) for i, (c, m) in enumerate(demands)],
+        [VM(i, i) for i in range(4)],
+        [0, 1, 1, 2],
+    )
+
+
 class TestForceFit:
-    def test_empty_stash_no_op(self, fig2):
-        mu = fig2.initial_mapping()
-        before = mu.assignment
-        result = force_fit(Stash(fig2), [0, 1, 2], mu, INF_PARAMS)
+    def test_empty_stash_no_op(self):
+        inst = _fig2_without_b()
+        before = inst.initial_mapping().assignment
+        result, mu = _release(inst, 3)
         assert result.completed and result.force_steps == 0
         assert mu.assignment == before
 
-    def test_single_fitting_vm_is_ample_only(self, fig2):
-        mu = fig2.initial_mapping()
-        mu.unassign(YELLOW)
-        result = force_fit(Stash(fig2, [YELLOW]), [0, 1, 2], mu, INF_PARAMS)
+    def test_single_fitting_vm_is_ample_only(self):
+        result, _ = _release(_fig2_without_b(), 2)
         assert result.completed
         assert result.force_steps == 0
         assert result.class_counts == {"ample": 1}
@@ -411,10 +431,7 @@ class TestForceFit:
     def test_fig2_release_of_cheapest_host_succeeds_in_one_step(self, fig2):
         # releasing host2 (migration cost 2): b needs one lopsided step into
         # host1 evicting a; a and yellow then best-fit into host0
-        mu = fig2.initial_mapping()
-        for v in (B, YELLOW):
-            mu.unassign(v)
-        result = force_fit(Stash(fig2, [B, YELLOW]), [0, 1], mu, INF_PARAMS)
+        result, mu = _release(fig2, 2)
         assert result.completed
         assert result.force_steps == 1
         assert mu.assignment == (0, 0, 1, 1, 0)
@@ -423,28 +440,20 @@ class TestForceFit:
     def test_fig2_release_of_red_host_cycles_out_the_budget(self, fig2):
         # the red VM cannot be settled with these tie-breaks: the walk cycles
         # and the force-step budget ends the attempt
-        mu = fig2.initial_mapping()
-        mu.unassign(RED)
-        result = force_fit(Stash(fig2, [RED]), [1, 2], mu, INF_PARAMS)
+        result, mu = _release(fig2, 0)
         assert not result.completed
         assert result.force_steps == INF_PARAMS.force_step_limit
         assert not mu.is_total()
 
     def test_fig2_red_host_counts_are_exact_for_every_budget(self, fig2):
         for limit, (lopsided, balanced) in enumerate(FIG2_RED_COUNTS):
-            mu = fig2.initial_mapping()
-            mu.unassign(RED)
-            params = replace(INF_PARAMS, force_step_limit=limit)
-            result = force_fit(Stash(fig2, [RED]), [1, 2], mu, params)
+            result, _ = _release(fig2, 0, replace(INF_PARAMS, force_step_limit=limit))
             expected = {"lopsided": lopsided, "balanced": balanced} if balanced else {"lopsided": lopsided}
             assert (result.force_steps, result.class_counts) == (limit, expected), limit
             assert result.reason == "force-step budget exhausted"
 
     def test_fig2_red_host_cycle_extrapolates_to_a_huge_budget(self, fig2):
-        mu = fig2.initial_mapping()
-        mu.unassign(RED)
-        params = replace(INF_PARAMS, force_step_limit=10**9)
-        result = force_fit(Stash(fig2, [RED]), [1, 2], mu, params)
+        result, _ = _release(fig2, 0, replace(INF_PARAMS, force_step_limit=10**9))
         assert not result.completed
         assert result.force_steps == 10**9
         assert result.class_counts == {"lopsided": 500000001, "balanced": 500000000}
@@ -457,10 +466,7 @@ class TestForceFit:
         hosts = [Host(0, ResourceVec(4, 4)), Host(1, ResourceVec(4, 4))]
         inst = Instance(hosts, [Flavor(0, ResourceVec(3, 3))], [VM(0, 0), VM(1, 0)], [0, 1])
         for limit in (*range(8), 10, 100, 1000, 10**9):
-            mu = inst.initial_mapping()
-            mu.unassign(1)
-            params = replace(INF_PARAMS, force_step_limit=limit)
-            result = force_fit(Stash(inst, [1]), [0], mu, params)
+            result, _ = _release(inst, 1, replace(INF_PARAMS, force_step_limit=limit))
             assert not result.completed
             assert result.force_steps == limit
             assert result.class_counts == {"lopsided": limit + 1}
@@ -470,7 +476,7 @@ class TestForceFit:
         # state with the resource toggle pointing the other way; treating
         # that as a cycle would give 1998 ample placements.  Counts recorded
         # from the loop that ran every force step out.  No three hosts hold
-        # the total demand, so balcon skips these releases; force_fit runs
+        # the total demand, so balcon skips these releases; _release runs
         # them here on the initial mapping.
         caps = [(7, 10), (6, 9), (6, 8), (6, 9)]
         demands = [(1, 4), (3, 1), (1, 1), (2, 4)]
@@ -482,11 +488,7 @@ class TestForceFit:
         )
         got = []
         for h in (1, 0, 2, 3):
-            mu = inst.initial_mapping()
-            stashed = mu.vms_on(h)
-            for v in stashed:
-                mu.unassign(v)
-            result = force_fit(Stash(inst, stashed), mu.active_hosts(), mu, INF_PARAMS)
+            result, _ = _release(inst, h)
             got.append((h, result.force_steps, result.class_counts))
         assert got == [
             (1, 4000, {"lopsided": 4001}),
@@ -501,23 +503,17 @@ class TestForceFit:
 
     def test_budget_zero_blocks_force_steps_not_placements(self, fig2):
         params = replace(INF_PARAMS, force_step_limit=0)
-        mu = fig2.initial_mapping()
-        mu.unassign(YELLOW)
-        result = force_fit(Stash(fig2, [YELLOW]), [0, 1, 2], mu, params)
+        result, _ = _release(_fig2_without_b(), 2, params)
         assert result.completed and result.force_steps == 0
 
-        mu2 = fig2.initial_mapping()
-        mu2.unassign(RED)
-        result2 = force_fit(Stash(fig2, [RED]), [1, 2], mu2, params)
+        result2, _ = _release(fig2, 0, params)
         assert not result2.completed and result2.force_steps == 0
 
     def test_unplaceable_vm_aborts_immediately(self):
         hosts = [Host(0, ResourceVec(2, 2)), Host(1, ResourceVec(9, 9))]
         flavors = [Flavor(0, ResourceVec(4, 4)), Flavor(1, ResourceVec(1, 1))]
         inst = Instance(hosts, flavors, [VM(0, 0), VM(1, 1)], [1, 0])
-        mu = inst.initial_mapping()
-        mu.unassign(0)
-        result = force_fit(Stash(inst, [0]), [0], mu, INF_PARAMS)
+        result, _ = _release(inst, 1)
         assert not result.completed
         assert result.force_steps == 0
         assert "fits no destination" in result.reason
@@ -594,13 +590,7 @@ class TestBalcon:
         events = []
         steps = 0
         for h in (2, 0, 1):
-            mu = fig2.initial_mapping()
-            stashed = mu.vms_on(h)
-            for v in stashed:
-                mu.unassign(v)
-            steps += force_fit(
-                Stash(fig2, stashed), mu.active_hosts(), mu, params_for(0), events.append
-            ).force_steps
+            steps += _release(fig2, h, params_for(0), events.append)[0].force_steps
         assert [e for e in events if e["event"] == "cycle"] == [
             {"event": "cycle", "step": 8, "period": 4}
         ]
@@ -705,20 +695,21 @@ def _reference_force_fit(stash: Stash, hosts, mu: Mapping, params: SolverParams)
     return end(True)
 
 
-def _differential(stash: Stash, hosts, mu: Mapping, params: SolverParams, engine=None, run=force_fit):
-    """Run ``force_fit`` (``run``) and the reference loop on copies of the
-    same stash and mapping; check the result, the final assignment and the
-    cycle event, and return the result and the reference's repeat step.
+def _differential(stash: Stash, engine: ReleaseEngine, params: SolverParams, run=force_fit):
+    """Run ``force_fit`` (``run``) on an attempt ``engine`` has open and the
+    reference loop on copies of its stash, mapping and hosts; check the
+    result, the final assignment and the cycle event, and return the result
+    and the reference's repeat step.
 
     A cycling attempt stops at its first repeated state, while the
     reference goes on round the cycle, so its final assignment is compared
     with the reference's at that repeat."""
-    inst = mu.inst
+    mu = engine.mu
     ref_mu = mu.copy()
-    ref_stash = Stash(inst, [v for v, g in enumerate(ref_mu.assignment) if g is None])
-    ref_hosts = engine.hosts() if hosts is None else list(hosts)
+    ref_stash = Stash(mu.inst, [v for v, g in enumerate(ref_mu.assignment) if g is None])
+    ref_hosts = engine.hosts()
     events = []
-    result = run(stash, hosts, mu, params, events.append, engine)
+    result = run(stash, engine, params, events.append)
     want, repeat, want_assignment = _reference_force_fit(ref_stash, ref_hosts, ref_mu, params)
     assert result == want
     assert mu.assignment == want_assignment
@@ -731,6 +722,12 @@ def _differential(stash: Stash, hosts, mu: Mapping, params: SolverParams, engine
     return result, repeat
 
 
+def _differential_release(inst: Instance, h: int, params: SolverParams):
+    # ``_differential`` on the release of host h from the initial mapping
+    engine = ReleaseEngine(inst, params.weights)
+    return _differential(Stash(inst, engine.begin(h)), engine, params)
+
+
 DIFFERENTIAL_BUDGETS = (0, 1, 7, 64, 300)
 
 
@@ -741,8 +738,8 @@ def _differential_balcon(inst: Instance, weights: ObjectiveWeights, limit: int) 
     seen = Counter()
     real = solver.force_fit
 
-    def checked(stash, hosts, mu, params, trace=None, engine=None):
-        result, repeat = _differential(stash, hosts, mu, params, engine, real)
+    def checked(stash, engine, params, trace=None):
+        result, repeat = _differential(stash, engine, params, real)
         seen["calls"] += 1
         seen["cycled"] += repeat is not None
         return result
@@ -764,10 +761,8 @@ def _tiny_sample() -> list[Instance]:
 class TestFirstRepeat:
     @pytest.mark.parametrize("limit", DIFFERENTIAL_BUDGETS)
     def test_fig2_red_host_matches_the_reference(self, fig2, limit):
-        mu = fig2.initial_mapping()
-        mu.unassign(RED)
         params = replace(INF_PARAMS, force_step_limit=limit)
-        result, repeat = _differential(Stash(fig2, [RED]), [1, 2], mu, params)
+        result, repeat = _differential_release(fig2, 0, params)
         assert result.force_steps == limit
         # the state after 4 Force Steps comes back after 8
         assert (repeat, result.cycle_period) == ((8, 4) if limit >= 8 else (None, None))
@@ -823,13 +818,8 @@ class TestFirstRepeat:
                 initial,
             )
             for h in range(len(caps)):
-                mu = inst.initial_mapping()
-                stashed = mu.vms_on(h)
-                for v in stashed:
-                    mu.unassign(v)
-                hosts = [g for g in mu.active_hosts() if g != h]
                 params = replace(INF_PARAMS, force_step_limit=64)
-                result, repeat = _differential(Stash(inst, stashed), hosts, mu, params)
+                result, repeat = _differential_release(inst, h, params)
                 seen[result.reason] += 1
                 seen["cycled"] += repeat is not None
         assert seen["cycled"] > 0 and seen[None] > 0 and len(seen) > 3, seen
@@ -854,13 +844,8 @@ class TestFirstRepeat:
         # (recorded from the reference loop); Brent's power-of-two snapshots
         # would notice the cycle only after 45 steps.
         inst = tiny_instances(8)[7]
-        mu = inst.initial_mapping()
-        stashed = mu.vms_on(0)
-        for v in stashed:
-            mu.unassign(v)
-        hosts = [g for g in mu.active_hosts() if g != 0]
         params = replace(INF_PARAMS, force_step_limit=300)
-        result, repeat = _differential(Stash(inst, stashed), hosts, mu, params)
+        result, repeat = _differential_release(inst, 0, params)
         assert (repeat, result.cycle_period) == (18, 16)
         assert (result.force_steps, result.class_counts) == (300, {"lopsided": 301, "ample": 37})
 
@@ -870,7 +855,7 @@ class TestCyclePeriod:
         engine = ReleaseEngine(fig2, INF_PARAMS.weights)
 
         def place(stashed):
-            return force_fit(Stash(fig2, stashed), None, engine.mu, INF_PARAMS, None, engine)
+            return force_fit(Stash(fig2, stashed), engine, INF_PARAMS)
 
         attempt = engine.attempt(0, place)
         assert (attempt.outcome, attempt.force_steps, attempt.cycle_period) == (
@@ -899,11 +884,7 @@ def _check_engine_state(engine: ReleaseEngine, params: SolverParams) -> None:
     big = replace(params, force_step_limit=10**5)
     for h in active:
         bound = engine.lower_bound(h)
-        mu.begin()
-        stashed = mu.vms_on(h)
-        for v in stashed:
-            mu.unassign(v)
-        result = force_fit(Stash(inst, stashed), mu.active_hosts(), mu, big)
+        result = force_fit(Stash(inst, engine.begin(h)), engine, big)
         assert not result.completed or objective(mu, mu0, params.weights) >= bound, h
         mu.rollback()
 
@@ -914,7 +895,7 @@ def _run_checked(inst: Instance, mph) -> None:
     engine = ReleaseEngine(inst, params.weights)
 
     def place(stashed):
-        return force_fit(Stash(inst, stashed), engine.hosts(), engine.mu, params)
+        return force_fit(Stash(inst, stashed), engine, params)
 
     mu0 = engine.mu0
     _check_engine_state(engine, params)
@@ -1059,8 +1040,7 @@ class TestRoomLists:
             return real_room(v)
 
         def place(stashed):
-            hosts = engine.hosts()
-            results.append(force_fit(Stash(fig2, stashed), hosts, engine.mu, INF_PARAMS, engine=engine))
+            results.append(force_fit(Stash(fig2, stashed), engine, INF_PARAMS))
             return results[-1]
 
         engine.room = room
@@ -1311,7 +1291,7 @@ class TestFirstMissProbe:
         mu = engine.mu
 
         def place(stashed):
-            return force_fit(Stash(inst, stashed), engine.hosts(), mu, params)
+            return force_fit(Stash(inst, stashed), engine, params)
 
         for h in range(len(inst.hosts)):
             for g in engine.active:
