@@ -168,8 +168,8 @@ def fit_scan(
     ``(choice, cap_num, sum_c, sum_m)``.
 
     ``choice`` is the host that fits v with the highest surrogate load,
-    compared by integer cross-multiplication; the first of equals wins, so
-    ties go to the lower id when ``hosts`` ascend.  When no host fits v,
+    compared by ``model.load_key``; the first of equals wins, so ties go to
+    the lower id when ``hosts`` ascend.  When no host fits v,
     ``choice`` is None and the sums are ``split_class``'s over all the hosts
     for the reference vector (s_cpu, s_mem); otherwise they mean nothing.
     """
@@ -177,9 +177,9 @@ def fit_scan(
     cap_c, cap_m = inst._cap_cpu, inst._cap_mem
     load_c, load_m = mu._load_c, mu._load_m
     vc, vm = inst._vm_cpu[v], inst._vm_mem[v]
+    scale = inst._key_scale
     choice = None
-    # the best surrogate load so far as num / den; -1 is below every load
-    best_num, best_den = -1, 1
+    best = -1  # the best load key so far; -1 is below every key
     cap_num = sum_c = sum_m = 0
     # one name per assignment: here tuple assignments cost up to a third more
     for h in hosts:
@@ -195,10 +195,11 @@ def fit_scan(
             continue
         cc = cap_c[h]
         cm = cap_m[h]
-        num = load_c[h] * cm + load_m[h] * cc
-        den = cc * cm
-        if num * best_den > best_num * den:
-            choice, best_num, best_den = h, num, den
+        # model.load_key(inst, h, load_c[h], load_m[h]), inlined: no call per host
+        key = (load_c[h] * cm + load_m[h] * cc) * scale // (cc * cm)
+        if key > best:
+            choice = h
+            best = key
     return choice, cap_num, sum_c, sum_m
 
 

@@ -153,7 +153,7 @@ def instance_balance_factor(inst: Instance) -> Fraction:
         raise ValueError("instance has no hosts")
     n = len(inst.hosts)
     s = (
-        Fraction(sum(h.capacity.cpu for h in inst.hosts), n),
-        Fraction(sum(h.capacity.mem for h in inst.hosts), n),
+        Fraction(sum(inst._cap_cpu), n),
+        Fraction(sum(inst._cap_mem), n),
     )
     return balance_factor(s, range(n), inst.initial_mapping())

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -218,69 +218,42 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_gaps_csv(records: Iterable[GapRecord], path: str | Path) -> None:
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    # rows hold their values in header order; ``_cell`` writes ints and
+    # strings as csv itself would
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
-        out.writerow(
-            [
-                "instance",
-                "algorithm",
-                "ref_kind",
-                "alg_objective",
-                "ref_objective",
-                "init_objective",
-                "gap",
-                "non_trivial",
-            ]
-        )
-        for r in records:
-            out.writerow(
-                [
-                    r.instance_id,
-                    r.algorithm,
-                    r.ref_kind,
-                    _cell(r.alg_objective),
-                    _cell(r.ref_objective),
-                    _cell(r.init_objective),
-                    _cell(r.gap),
-                    _cell(r.non_trivial),
-                ]
-            )
+        out.writerow(header)
+        out.writerows([_cell(value) for value in row] for row in rows)
+
+
+def write_gaps_csv(records: Iterable[GapRecord], path: str | Path) -> None:
+    header = [
+        "instance",
+        "algorithm",
+        "ref_kind",
+        "alg_objective",
+        "ref_objective",
+        "init_objective",
+        "gap",
+        "non_trivial",
+    ]
+    _write_csv(path, header, map(astuple, records))
 
 
 def write_profile_csv(series: Iterable[tuple[Fraction, Fraction]], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["threshold", "fraction"])
-        for threshold, fraction in series:
-            out.writerow([_cell(threshold), _cell(fraction)])
+    _write_csv(path, ["threshold", "fraction"], series)
 
 
 def write_sweep_csv(points: Iterable[SweepPoint], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(
-            [
-                "mph",
-                "algorithm",
-                "active_hosts",
-                "migrated_mem",
-                "force_steps",
-                "objective",
-                "gap",
-                "ref_kind",
-            ]
-        )
-        for p in points:
-            out.writerow(
-                [
-                    _cell(p.mph),
-                    p.algorithm,
-                    p.active_hosts,
-                    p.migrated_mem,
-                    p.force_steps,
-                    _cell(p.objective),
-                    _cell(p.gap),
-                    p.ref_kind,
-                ]
-            )
+    header = [
+        "mph",
+        "algorithm",
+        "active_hosts",
+        "migrated_mem",
+        "force_steps",
+        "objective",
+        "gap",
+        "ref_kind",
+    ]
+    _write_csv(path, header, map(astuple, points))

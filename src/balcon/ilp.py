@@ -93,8 +93,8 @@ def expected_counts(kind: ModelKind, n_vms: int, n_hosts: int, n_flavors: int) -
 def initial_flavor_counts(inst: Instance) -> list[list[int]]:
     """n[f][h]: how many VMs of flavor f start on host h."""
     counts = [[0] * len(inst.hosts) for _ in inst.flavors]
-    for v in inst.vms:
-        counts[v.flavor][inst.initial_host(v.id)] += 1
+    for v, h in zip(inst.vms, inst._initial):
+        counts[v.flavor][h] += 1
     return counts
 
 
@@ -166,25 +166,26 @@ def emit_allocation_model(inst: Instance, weights: ObjectiveWeights, out: TextIO
     migr = [f"migr_v{v}" for v in range(n_vms)]
 
     obj_terms: list[tuple[object, str]] = [(weights.w_a, name) for name in active]
-    obj_terms += [(w_mig * inst.vm_mem(v), migr[v]) for v in range(n_vms)]
+    obj_terms += [(w_mig * m, name) for m, name in zip(inst._vm_mem, migr)]
     w.objective = _expr(obj_terms, keep_zero="active_h0")
 
     # fixed-shape rows are formatted directly; every VM has an initial host,
     # so n_hosts > 0 whenever a VM row exists and no expression is empty
     for v in range(n_vms):
         w.rows.append(f" assign_v{v}: {' + '.join(alloc[v])} = 1")
-    for h in range(n_hosts):
-        terms = [(inst.vm_cpu(v), alloc[v][h]) for v in range(n_vms)]
-        w.constraint(f"cpu_h{h}", _expr(terms, keep_zero=active[h]), "<=", inst.capacity(h).cpu)
-    for h in range(n_hosts):
-        terms = [(inst.vm_mem(v), alloc[v][h]) for v in range(n_vms)]
-        w.constraint(f"mem_h{h}", _expr(terms, keep_zero=active[h]), "<=", inst.capacity(h).mem)
+    for resource, need, caps in (
+        ("cpu", inst._vm_cpu, inst._cap_cpu),
+        ("mem", inst._vm_mem, inst._cap_mem),
+    ):
+        for h in range(n_hosts):
+            terms = [(need[v], alloc[v][h]) for v in range(n_vms)]
+            w.constraint(f"{resource}_h{h}", _expr(terms, keep_zero=active[h]), "<=", caps[h])
     for v in range(n_vms):
         w.rows.extend(
             f" link_v{v}_h{h}: {name} - {active[h]} <= 0" for h, name in enumerate(alloc[v])
         )
     for v in range(n_vms):
-        w.rows.append(f" migr_v{v}: {migr[v]} + {alloc[v][inst.initial_host(v)]} = 1")
+        w.rows.append(f" migr_v{v}: {migr[v]} + {alloc[v][inst._initial[v]]} = 1")
 
     names = [name for row in alloc for name in row] + active + migr
     w.binary = names
@@ -224,12 +225,12 @@ def emit_flavor_flow_model(
             out_fh = outflow[f][h]
             expr = _expr([(-n_fh, active[h]), (-1, out_fh)], keep_zero=out_fh)
             w.constraint(f"evac_f{f}_h{h}", expr, "<=", -n_fh)
-    for resource in ("cpu", "mem"):
+    for resource, caps in (("cpu", inst._cap_cpu), ("mem", inst._cap_mem)):
         need = [getattr(d, resource) for d in demands]
         for h in range(n_hosts):
             terms = [(need[f], inflow[f][h]) for f in range(n_flavors)]
             terms += [(-need[f], outflow[f][h]) for f in range(n_flavors)]
-            terms.append((-getattr(inst.capacity(h), resource), active[h]))
+            terms.append((-caps[h], active[h]))
             rhs = -sum(need[f] * counts[f][h] for f in range(n_flavors))
             w.constraint(f"{resource}_h{h}", _expr(terms), "<=", rhs)
 
@@ -279,6 +280,15 @@ def _as_int(name: str, value: float, tol: float) -> int:
     return int(rounded)
 
 
+def _active(n_hosts: int, values: dict[str, float], tol: float) -> list[int]:
+    # the active_h* values, each checked to be binary
+    active = [_as_int(f"active_h{h}", values.get(f"active_h{h}", 0.0), tol) for h in range(n_hosts)]
+    for h, n in enumerate(active):
+        if n not in (0, 1):
+            raise SolutionError(f"active_h{h} violated: {n} is not binary")
+    return active
+
+
 def read_solution(
     kind: ModelKind,
     inst: Instance,
@@ -319,28 +329,21 @@ def _read_allocation(
     mapping = Mapping(inst, assignment)
     for h in range(n_hosts):
         lc, lm = mapping.load_parts(h)
-        if lc > inst.capacity(h).cpu:
-            raise SolutionError(f"cpu_h{h} violated: load {lc} > {inst.capacity(h).cpu}")
-        if lm > inst.capacity(h).mem:
-            raise SolutionError(f"mem_h{h} violated: load {lm} > {inst.capacity(h).mem}")
-    active = [
-        _as_int(f"active_h{h}", values.get(f"active_h{h}", 0.0), tol) for h in range(n_hosts)
-    ]
-    for h in range(n_hosts):
-        if active[h] not in (0, 1):
-            raise SolutionError(f"active_h{h} violated: {active[h]} is not binary")
+        if lc > inst._cap_cpu[h]:
+            raise SolutionError(f"cpu_h{h} violated: load {lc} > {inst._cap_cpu[h]}")
+        if lm > inst._cap_mem[h]:
+            raise SolutionError(f"mem_h{h} violated: load {lm} > {inst._cap_mem[h]}")
+    active = _active(n_hosts, values, tol)
     for v in range(n_vms):
         h = assignment[v]
         if active[h] != 1:
             raise SolutionError(f"link_v{v}_h{h} violated: vm on inactive host")
     migr = [_as_int(f"migr_v{v}", values.get(f"migr_v{v}", 0.0), tol) for v in range(n_vms)]
     for v in range(n_vms):
-        expected = 0 if assignment[v] == inst.initial_host(v) else 1
+        expected = 0 if assignment[v] == inst._initial[v] else 1
         if migr[v] != expected:
             raise SolutionError(f"migr_v{v} violated: got {migr[v]}, expected {expected}")
-    objective = weights.w_a * sum(active) + weights.w_m * sum(
-        inst.vm_mem(v) * migr[v] for v in range(n_vms)
-    )
+    objective = weights.w_a * sum(active) + weights.w_m * sum(map(int.__mul__, inst._vm_mem, migr))
     return SolutionReport(ModelKind.ALLOCATION, objective, mapping, values)
 
 
@@ -367,12 +370,7 @@ def _read_flow(
             raise SolutionError(f"{name} violated: negative flow {n}")
         return n
 
-    active = [
-        _as_int(f"active_h{h}", values.get(f"active_h{h}", 0.0), tol) for h in range(n_hosts)
-    ]
-    for h in range(n_hosts):
-        if active[h] not in (0, 1):
-            raise SolutionError(f"active_h{h} violated: {active[h]} is not binary")
+    active = _active(n_hosts, values, tol)
     flow_in = [[flow_value(f"in_f{f}_h{h}") for h in range(n_hosts)] for f in range(n_flavors)]
     flow_out = [[flow_value(f"out_f{f}_h{h}") for h in range(n_hosts)] for f in range(n_flavors)]
     for f in range(n_flavors):
@@ -388,7 +386,7 @@ def _read_flow(
                     f"evac_f{f}_h{h} violated: inactive host retains {counts[f][h]} VMs"
                 )
     for h in range(n_hosts):
-        for resource, cap in (("cpu", inst.capacity(h).cpu), ("mem", inst.capacity(h).mem)):
+        for resource, cap in (("cpu", inst._cap_cpu[h]), ("mem", inst._cap_mem[h])):
             total = 0.0
             for f in range(n_flavors):
                 demand = getattr(inst.flavors[f].demand, resource)

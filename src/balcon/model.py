@@ -33,6 +33,7 @@ __all__ = [
     "migration_costs",
     "vm_size",
     "surrogate_load",
+    "load_key",
     "instance_from_dict",
     "instance_to_dict",
     "load_instance",
@@ -140,7 +141,13 @@ class ObjectiveWeights:
 
 class Instance:
     """An immutable consolidation problem: hosts, flavors, VMs and the
-    initial feasible mapping."""
+    initial feasible mapping.
+
+    The package reads it through a read-only core of tuples indexed by VM or
+    host id: ``_vm_cpu``/``_vm_mem`` (demands), ``_cap_cpu``/``_cap_mem``
+    (capacities), ``_initial`` (initial hosts) and ``_size_num``/``_size_den``
+    (``vm_size``; empty and 0 without VM load), plus the ``load_key`` scale
+    ``_key_scale``.  Nothing may change them."""
 
     __slots__ = (
         "hosts",
@@ -153,6 +160,7 @@ class Instance:
         "_cap_mem",
         "_size_num",
         "_size_den",
+        "_key_scale",
     )
 
     def __init__(
@@ -219,6 +227,7 @@ class Instance:
         else:
             self._size_den = 0
             self._size_num = ()
+        self._key_scale = max(map(int.__mul__, self._cap_cpu, self._cap_mem), default=1) ** 2
 
     def initial_mapping(self) -> "Mapping":
         """A fresh mutable copy of the initial mapping."""
@@ -226,26 +235,6 @@ class Instance:
 
     def initial_host(self, v: int) -> int:
         return self._initial[v]
-
-    def vm_cpu(self, v: int) -> int:
-        return self._vm_cpu[v]
-
-    def vm_mem(self, v: int) -> int:
-        return self._vm_mem[v]
-
-    def capacity(self, h: int) -> ResourceVec:
-        return ResourceVec(self._cap_cpu[h], self._cap_mem[h])
-
-    def size_num(self, v: int) -> int:
-        if self._size_den == 0:
-            raise ValueError("VM sizes are undefined: instance has no VM load")
-        return self._size_num[v]
-
-    @property
-    def size_den(self) -> int:
-        if self._size_den == 0:
-            raise ValueError("VM sizes are undefined: instance has no VM load")
-        return self._size_den
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instance):
@@ -501,8 +490,8 @@ def objective(mu: Mapping, mu0: Mapping, weights: ObjectiveWeights):
 
 def host_migration_cost(h: int, mu: Mapping, mu0: Mapping) -> int:
     """Memory of the VMs on h that still sit on their original host."""
-    inst = mu.inst
-    return sum(inst.vm_mem(v) for v in mu.members(h) if mu0._host_of[v] == h)
+    mem = mu.inst._vm_mem
+    return sum(mem[v] for v in mu.members(h) if mu0._host_of[v] == h)
 
 
 def migration_costs(mu: Mapping, mu0: Mapping) -> list[int]:
@@ -518,17 +507,32 @@ def migration_costs(mu: Mapping, mu0: Mapping) -> list[int]:
 
 def vm_size(v: int, inst: Instance) -> Fraction:
     """Relative VM size: v.cpu / total_cpu + v.mem / total_mem."""
-    return Fraction(inst.size_num(v), inst.size_den)
+    if inst._size_den == 0:
+        raise ValueError("VM sizes are undefined: instance has no VM load")
+    return Fraction(inst._size_num[v], inst._size_den)
 
 
 def surrogate_load(h: int, mu: Mapping) -> Fraction:
     """Sum of the per-resource load fractions of a host.
 
-    The exact definition; the solver's hot paths compare it by integer
-    cross products (``solver._surrogate_gt``)."""
+    The exact definition; the solver compares it through ``load_key``."""
     lc, lm = mu.load_parts(h)
     inst = mu.inst
     return Fraction(lc, inst._cap_cpu[h]) + Fraction(lm, inst._cap_mem[h])
+
+
+def load_key(inst: Instance, h: int, lc: int, lm: int) -> int:
+    """Host h's surrogate load at the load (lc, lm) as an exact integer: two
+    keys compare as their (host, load) pairs' surrogate loads do, equal
+    exactly when those are; ``classify.fit_scan`` inlines the expression.
+
+    The load is num / den = (lc * cap_m + lm * cap_c) / (cap_c * cap_m), the
+    key num * S // den with S = ``inst._key_scale`` = D**2, D the largest
+    cap_c * cap_m.  Two distinct loads a/b < c/d with 1 <= b, d <= D differ
+    by (cb - ad) / (bd) >= 1 / D**2, so c * S / d >= a * S / b + 1 and the
+    floors keep the order."""
+    cc, cm = inst._cap_cpu[h], inst._cap_mem[h]
+    return (lc * cm + lm * cc) * inst._key_scale // (cc * cm)
 
 
 # On-disk instance schema:

@@ -54,8 +54,8 @@ def min_active_hosts_bound(inst: Instance) -> int:
         return 0
     bound = 0
     for totals, caps in (
-        (sum(inst.vm_cpu(v) for v in range(len(inst.vms))), sorted((h.capacity.cpu for h in inst.hosts), reverse=True)),
-        (sum(inst.vm_mem(v) for v in range(len(inst.vms))), sorted((h.capacity.mem for h in inst.hosts), reverse=True)),
+        (sum(inst._vm_cpu), sorted(inst._cap_cpu, reverse=True)),
+        (sum(inst._vm_mem), sorted(inst._cap_mem, reverse=True)),
     ):
         covered = 0
         k = 0
@@ -91,11 +91,9 @@ def brute_force_optimal(
 
     w_a = weights.w_a
     w_m = weights.w_m
-    vm_c = [inst.vm_cpu(v) for v in range(n_vms)]
-    vm_m = [inst.vm_mem(v) for v in range(n_vms)]
-    cap_c = [h.capacity.cpu for h in inst.hosts]
-    cap_m = [h.capacity.mem for h in inst.hosts]
-    home = [inst.initial_host(v) for v in range(n_vms)]
+    vm_c, vm_m = inst._vm_cpu, inst._vm_mem
+    cap_c, cap_m = inst._cap_cpu, inst._cap_mem
+    home = inst._initial
     floor_active = min_active_hosts_bound(inst)
 
     load_c = [0] * n_hosts

@@ -23,6 +23,7 @@ from .model import (
     Instance,
     Mapping,
     ObjectiveWeights,
+    load_key,
     migration_costs,
     objective,
 )
@@ -174,16 +175,6 @@ def _capacity_candidates(v: int, hosts: Sequence[int], inst: Instance) -> list[i
     return [h for h in hosts if vc <= cap_c[h] and vm <= cap_m[h]]
 
 
-def _surrogate_gt(mu: Mapping, a: int, b: int) -> bool:
-    # surrogate_load(a) > surrogate_load(b) via integer cross multiplication
-    inst = mu.inst
-    num_a = mu._load_c[a] * inst._cap_mem[a] + mu._load_m[a] * inst._cap_cpu[a]
-    num_b = mu._load_c[b] * inst._cap_mem[b] + mu._load_m[b] * inst._cap_cpu[b]
-    return num_a * (inst._cap_cpu[b] * inst._cap_mem[b]) > num_b * (
-        inst._cap_cpu[a] * inst._cap_mem[a]
-    )
-
-
 def best_fit(v: int, hosts: Sequence[int], mu: Mapping) -> int | None:
     """Assign v to the fitting host with the highest surrogate load (ties to
     the lower host id) and return the chosen host.
@@ -213,15 +204,18 @@ def choose_host_balanced(
     if not hosts:
         return None
     allowed = prohibitor.filter(hosts) or hosts
-    sizes = mu.inst._size_num
+    inst = mu.inst
+    sizes = inst._size_num
     target = sizes[v]
     choice = None
-    best_count = -1
+    best_count = best_key = -1
     for h in allowed:
         count = sum(1 for w in mu._members[h] if sizes[w] < target)
-        if count > best_count or (count == best_count and _surrogate_gt(mu, h, choice)):
-            choice = h
-            best_count = count
+        if count < best_count:
+            continue
+        key = load_key(inst, h, mu._load_c[h], mu._load_m[h])
+        if count > best_count or key > best_key:
+            choice, best_count, best_key = h, count, key
     prohibitor.record(choice)
     return choice
 
@@ -622,8 +616,6 @@ class ReleaseEngine:
         self.cap_active_m = sum(cap_m[g] for g in active)
         self.lost_mem = 0
         self.rooms: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        # the scale of the room lists' load keys; see ``room``
-        self.load_scale = max(map(int.__mul__, cap_c, cap_m), default=1) ** 2
         self.angles: tuple[list[int], list[int], list[int], list[int]] | None = None
         self.angle_key = free_ratio_key(max(cap_m, default=0), max(cap_c, default=0))
         self.releasing: int | None = None  # the host of the current attempt
@@ -644,18 +636,11 @@ class ReleaseEngine:
 
     def room(self, v: int) -> list[tuple[int, int]]:
         """The room list of VM v's demand: ``(-key, g)`` for each active host
-        g that fits the demand at its committed load, ascending, so that the
-        hosts come by committed surrogate load, highest first, ties to the
-        lower id.  The list may hold the released host; it is the engine's
-        own, so it must not be changed, and it is valid until the next
-        commit.
-
-        The key is g's surrogate load num / den = (lc * cap_m + lm * cap_c) /
-        (cap_c * cap_m) as the exact integer ``num * S // den`` with S =
-        ``load_scale`` = D * D and D the largest cap_c * cap_m, argued like
-        ``free_ratio_key``: equal loads get equal keys, and two distinct
-        loads a/b < c/d with 1 <= b, d <= D differ by at least 1 / D**2, so
-        c * S / d >= a * S / b + 1 and the floors keep their order.
+        g that fits the demand at its committed load, with ``key`` the exact
+        ``model.load_key`` of that load, ascending, so that the hosts come by
+        committed surrogate load, highest first, ties to the lower id.  The
+        list may hold the released host; it is the engine's own, so it must
+        not be changed, and it is valid until the next commit.
 
         A list is built at its first query, from the loads as of ``begin()``
         (``Mapping.committed_loads``), so that it stays valid after a
@@ -673,21 +658,14 @@ class ReleaseEngine:
             c, m = key
             cap_c, cap_m = inst._cap_cpu, inst._cap_mem
             load_c, load_m = self.mu.committed_loads()
-            entry = self._entry
             room = self.rooms[key] = sorted(
                 [
-                    entry(g, load_c[g], load_m[g])
+                    (-load_key(inst, g, load_c[g], load_m[g]), g)
                     for g in self.active
                     if cap_c[g] - load_c[g] >= c and cap_m[g] - load_m[g] >= m
                 ]
             )
         return room
-
-    def _entry(self, g: int, lc: int, lm: int) -> tuple[int, int]:
-        # host g's room-list entry at the load (lc, lm); see ``room``
-        inst = self.mu.inst
-        cc, cm = inst._cap_cpu[g], inst._cap_mem[g]
-        return (-((lc * cm + lm * cc) * self.load_scale // (cc * cm)), g)
 
     def best_fit(self, v: int) -> int | None:
         """``best_fit(v, self.hosts(), self.mu)``, before the current
@@ -695,41 +673,36 @@ class ReleaseEngine:
 
         The hosts of the attempt that fit v are the listed ones (``room``).
         Those that took no placement in this attempt come in the list by
-        their current load, so the best of them is the first listed host
-        that is neither h nor a destination.  The destinations, the hosts
-        this method placed on since the attempt began, are compared with it
-        exactly, by cross-multiplication, ties to the lower id, when they
-        still fit v.
+        their current load, so the best of them is the first listed entry
+        whose host is neither h nor a destination, taken as it stands.  The
+        destinations, the hosts this method placed on since the attempt
+        began, enter by their entries at their current loads when they still
+        fit v, and the smallest entry wins: the highest load, ties to the
+        lower id.
         """
         mu = self.mu
         h, dests = self.releasing, self.dests
-        choice = None
-        for _, g in self.room(v):
-            if g != h and g not in dests:
-                choice = g
+        best = None
+        for entry in self.room(v):
+            if entry[1] != h and entry[1] not in dests:
+                best = entry
                 break
         if dests:
             inst = mu.inst
             vc, vm = inst._vm_cpu[v], inst._vm_mem[v]
             cap_c, cap_m = inst._cap_cpu, inst._cap_mem
             load_c, load_m = mu._load_c, mu._load_m
-            # the best surrogate load so far as num / den; -1 is below every load
-            best_num, best_den = -1, 1
-            if choice is not None:
-                cc, cm = cap_c[choice], cap_m[choice]
-                best_num, best_den = load_c[choice] * cm + load_m[choice] * cc, cc * cm
             for g in dests:
-                lc, lm, cc, cm = load_c[g], load_m[g], cap_c[g], cap_m[g]
-                if cc - lc < vc or cm - lm < vm:
-                    continue
-                num, den = lc * cm + lm * cc, cc * cm
-                if num * best_den > best_num * den or (
-                    num * best_den == best_num * den and g < choice
-                ):
-                    choice, best_num, best_den = g, num, den
-        if choice is not None:
-            mu.assign(v, choice)
-            dests.add(choice)
+                lc, lm = load_c[g], load_m[g]
+                if cap_c[g] - lc >= vc and cap_m[g] - lm >= vm:
+                    entry = (-load_key(inst, g, lc, lm), g)
+                    if best is None or entry < best:
+                        best = entry
+        if best is None:
+            return None
+        choice = best[1]
+        mu.assign(v, choice)
+        dests.add(choice)
         return choice
 
     def classify(self, s_cpu: int, s_mem: int, alpha: Fraction) -> ClusterClass:
@@ -825,16 +798,16 @@ class ReleaseEngine:
         self.angles = None
         inst = mu.inst
         cap_c, cap_m = inst._cap_cpu, inst._cap_mem
-        load_c, load_m, members, entry = mu._load_c, mu._load_m, mu._members, self._entry
+        load_c, load_m, members = mu._load_c, mu._load_m, mu._members
         # per moved host: free space and entry as of begin(), then now
         changes = [
             (
                 cap_c[g] - old_c,
                 cap_m[g] - old_m,
-                entry(g, old_c, old_m),
+                (-load_key(inst, g, old_c, old_m), g),
                 cap_c[g] - load_c[g],
                 cap_m[g] - load_m[g],
-                entry(g, load_c[g], load_m[g]) if members[g] else None,
+                (-load_key(inst, g, load_c[g], load_m[g]), g) if members[g] else None,
             )
             for g, (old_c, old_m) in moved.items()
         ]

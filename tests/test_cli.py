@@ -75,6 +75,16 @@ class TestSolve:
         assert report["migrated_mem"] == 4
         assert [a["outcome"] for a in report["attempts"]] == ["accepted", "skipped", "skipped"]
 
+    def test_fractional_objective_is_written_exactly(self, fig2_path, tmp_path, capsys):
+        # at mph 1.5 nothing is released: 3 hosts weigh 3 * 3/2 = 9/2
+        report_path = tmp_path / "report.json"
+        argv = ["solve", "--mph", "1.5", "--report", str(report_path), "-o", str(tmp_path / "r.json")]
+        assert main(argv + [str(fig2_path)]) == 0
+        assert '"objective": "9/2"' in report_path.read_text()
+        assert json.loads(capsys.readouterr().err)["objective"] == "9/2"
+        assert main(["oracle", "--mph", "1.5", "-o", str(tmp_path / "o.json"), str(fig2_path)]) == 0
+        assert json.loads(capsys.readouterr().err)["objective"] == "9/2"
+
     def test_verbose_trace_carries_outcomes(self, fig2_path, tmp_path, capsys):
         out = tmp_path / "result.json"
         assert main(["solve", "--mph", "0", "-v", "-o", str(out), str(fig2_path)]) == 0
@@ -263,6 +273,13 @@ class TestGenerate:
         assert capsys.readouterr().err == f"error: {flag} must be at least {low}, got {value}\n"
         assert not out.exists()
 
+    def test_generator_giving_up_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        assert main(["generate", "--seed", "0", "--hosts", "300", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: gave up after 101 unplaceable samples (seed 0)\n"
+        assert not out.exists()
+
     def test_zero_cpu_capacity(self, tmp_path, capsys):
         out = tmp_path / "z.json"
         assert main(["generate", "--cpu", "0", "--seed", "1", "--hosts", "4", "-o", str(out)]) == 2
@@ -325,6 +342,12 @@ class TestEval:
         assert balcon_row["ref_kind"] == "oracle"
         profile = list(csv.DictReader((out_dir / "profile.csv").read_text().splitlines()))
         assert profile
+
+    def test_malformed_lower_bound_dump_exits_2(self, fig2_path, tmp_path, capsys):
+        (tmp_path / "fig2.flowlb.sol").write_text("active_h0 1\nin_f0_h1 lots\n")
+        argv = ["eval", "--lb-dir", str(tmp_path), "--out-dir", str(tmp_path / "out"), str(fig2_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: line 2: bad value 'lots'\n"
 
     def test_unknown_algorithm_is_usage_error(self, fig2_path, tmp_path):
         assert main(["eval", "--algos", "bogus", "--out-dir", str(tmp_path), str(fig2_path)]) == 1

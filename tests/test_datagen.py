@@ -9,6 +9,7 @@ import pytest
 from balcon import (
     Flavor,
     GenConfig,
+    GenerationError,
     Host,
     Instance,
     ResourceVec,
@@ -76,6 +77,16 @@ class TestFlavors:
 
 
 class TestGeneration:
+    def test_no_flavors_rejected(self):
+        with pytest.raises(ValueError, match="^num_flavors must be at least 1$"):
+            GenConfig(seed=0, num_hosts=4, num_flavors=0)
+
+    def test_gives_up_after_unplaceable_samples(self):
+        # default lopsided configs at 300 hosts fail for most seeds, seed 0
+        # among them
+        with pytest.raises(GenerationError, match=r"^gave up after 101 unplaceable samples \(seed 0\)$"):
+            generate_instance(GenConfig(seed=0, num_hosts=300))
+
     def test_deterministic_instances(self):
         a = generate_instance(cfg(42))
         b = generate_instance(cfg(42))
@@ -101,7 +112,7 @@ class TestGeneration:
         inst = generate_instance(cfg(7))
         # vm ids follow packing order: load angles are non-increasing
         angles = [
-            Fraction(inst.vm_cpu(v), inst.vm_mem(v)) for v in range(len(inst.vms))
+            Fraction(inst._vm_cpu[v], inst._vm_mem[v]) for v in range(len(inst.vms))
         ]
         assert angles == sorted(angles, reverse=True)
 

@@ -6,9 +6,14 @@ from fractions import Fraction
 import pytest
 
 from balcon import (
+    Flavor,
     GapRecord,
+    Host,
+    Instance,
     ObjectiveWeights,
+    ResourceVec,
     SolverParams,
+    VM,
     gap,
     mean_gap,
     mph_sweep,
@@ -55,6 +60,10 @@ class TestGap:
     def test_broken_reference_detected(self):
         with pytest.raises(ValueError, match="below the reference"):
             gap(27, 28, 30)
+
+    def test_initial_below_reference_detected(self):
+        with pytest.raises(ValueError, match="^initial objective is below the reference$"):
+            gap(30, 28, 27)
 
     def test_fractional_inputs(self):
         assert gap(Fraction(5, 2), 2, 3) == Fraction(1, 2)
@@ -125,6 +134,17 @@ class TestEvaluateInstance:
         assert by_algo["sercon-mod"].gap == 1
         assert not by_algo["sercon-mod"].non_trivial
         assert all(r.ref_kind == "oracle" for r in records)
+
+
+    def test_beyond_the_oracle_without_a_bound(self):
+        # five hosts exceed the oracle's default limit of four
+        hosts = [Host(h, ResourceVec(4, 4)) for h in range(5)]
+        inst = Instance(hosts, [Flavor(0, ResourceVec(1, 1))], [VM(v, 0) for v in range(5)], range(5))
+        params = SolverParams(weights=ObjectiveWeights(10, 1))
+        (record,) = evaluate_instance("five", inst, ["balcon"], params)
+        assert (record.ref_kind, record.ref_objective, record.gap) == ("initial", None, None)
+        # two hosts hold the five VMs; three of them migrate
+        assert record.alg_objective == 2 * 10 + 3 < record.init_objective == 50
 
 
 class TestMphSweep:

@@ -115,6 +115,31 @@ class TestParseLp:
         with pytest.raises(LpFormatError, match=f"line {lineno}: .*{re.escape(repr(line))}"):
             parse_lp(text)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("c1: 2 3 x >= 1", "coefficient 2 without a variable"),
+            ("c1: 1e308 x + 1e308 x >= 1", "non-finite coefficient"),
+            ("c1: x \u2265 1", "non-ASCII text"),
+        ],
+    )
+    def test_bad_row_is_named(self, row, message):
+        text = f"Minimize\n obj: x\nSubject To\n {row}\nEnd\n"
+        with pytest.raises(LpFormatError, match=f"^line 4: {message}: {re.escape(repr(row))}$"):
+            parse_lp(text)
+
+    def test_objective_sum_overflow_is_named(self):
+        text = "Minimize\n obj: 1e308 x\n + 1e308 x\nSubject To\n c1: x >= 1\nEnd\n"
+        with pytest.raises(LpFormatError, match="^line 3: non-finite coefficient: '\\+ 1e308 x'$"):
+            parse_lp(text)
+
+    @needs_solver
+    def test_solve_applies_upper_bound(self):
+        text = "Maximize\n obj: x + y\nSubject To\n c1: x - y <= 10\nBounds\n x <= 3\n y <= 2\nEnd\n"
+        names, result = solve(parse_lp(text))
+        assert result.success
+        assert dict(zip(names, result.x.tolist())) == {"x": 3.0, "y": 2.0}
+
     def test_free_and_infinite_bounds_stay_legal(self):
         model = parse_lp(
             "Minimize\n obj: x + y + z\nSubject To\n c1: x + y + z >= 1\n"
@@ -163,6 +188,17 @@ class TestSolveLpCommand:
         assert cli_main(["solve-lp", str(path)]) == 0
         report = read_solution(ModelKind.ALLOCATION, fig2, capsys.readouterr().out, W10)
         assert report.objective == 24
+
+    @needs_solver
+    def test_output_file_holds_the_printed_dump(self, fig2, tmp_path, capsys):
+        path = tmp_path / "model.lp"
+        path.write_text(emit_text(ModelKind.FLAVOR_FLOW, fig2, W10)[0])
+        assert cli_main(["solve-lp", str(path)]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "out.sol"
+        assert cli_main(["solve-lp", str(path), "-o", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode()
 
 
 class TestEmission:
@@ -254,6 +290,55 @@ class TestReadSolution:
     def test_malformed_line_rejected(self, fig2):
         with pytest.raises(SolutionError, match="line 1"):
             read_solution(ModelKind.ALLOCATION, fig2, "alloc_v0_h0 one two", W10)
+
+    def test_bad_value_rejected(self, fig2):
+        with pytest.raises(SolutionError, match="^line 2: bad value 'one'$"):
+            read_solution(ModelKind.ALLOCATION, fig2, "active_h0 1\nalloc_v0_h0 one", W10)
+
+    def test_non_integral_value_rejected(self, fig2):
+        with pytest.raises(SolutionError, match="^alloc_v0_h0 = 0.5 is not integral$"):
+            read_solution(ModelKind.ALLOCATION, fig2, "alloc_v0_h0 0.5", W10)
+
+    @pytest.mark.parametrize(
+        "kind, shown",
+        [(ModelKind.RELAXED_FLAVOR_FLOW, "-0.5"), (ModelKind.FLAVOR_FLOW, "-1")],
+    )
+    def test_negative_flow_rejected(self, fig2, kind, shown):
+        dump = f"active_h0 1\nin_f1_h2 {shown}"
+        with pytest.raises(SolutionError, match=f"^in_f1_h2 violated: negative flow {shown}$"):
+            read_solution(kind, fig2, dump, W10)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_non_binary_active_rejected(self, fig2, kind):
+        mu0 = fig2.initial_mapping()
+        lines = [f"alloc_v{v}_h{mu0.host_of(v)} 1" for v in range(5)]
+        lines += ["active_h0 1", "active_h1 2", "active_h2 1"]
+        with pytest.raises(SolutionError, match="^active_h1 violated: 2 is not binary$"):
+            read_solution(kind, fig2, "\n".join(lines), W10)
+
+    def test_out_capacity_violation_rejected(self, fig2):
+        # flavor 0 has one VM, on host 0; two leave it
+        lines = [f"active_h{h} 1" for h in range(3)] + ["out_f0_h0 2", "in_f0_h1 2"]
+        with pytest.raises(SolutionError, match="^outcap_f0_h0 violated: out 2 > 1$"):
+            read_solution(ModelKind.FLAVOR_FLOW, fig2, "\n".join(lines), W10)
+
+    @pytest.mark.parametrize(
+        "flavor, source, row",
+        [(3, 2, "cpu_h1 violated: load 7.0 > 6"), (0, 0, "mem_h1 violated: load 9.0 > 6")],
+    )
+    def test_flow_resource_violation_rejected(self, fig2, flavor, source, row):
+        # host 1 holds (3, 6); flavor 3 adds (4, 1), flavor 0 adds (3, 3)
+        lines = [f"active_h{h} 1" for h in range(3)]
+        lines += [f"out_f{flavor}_h{source} 1", f"in_f{flavor}_h1 1"]
+        with pytest.raises(SolutionError, match=f"^{row}$"):
+            read_solution(ModelKind.FLAVOR_FLOW, fig2, "\n".join(lines), W10)
+
+    def test_allocation_memory_violation_rejected(self, fig2):
+        # red (3, 3) and green (2, 4) on host 0: cpu 5 fits, mem 7 does not
+        hosts = [0, 1, 0, 2, 2]
+        lines = [f"alloc_v{v}_h{h} 1" for v, h in enumerate(hosts)]
+        with pytest.raises(SolutionError, match="^mem_h0 violated: load 7 > 6$"):
+            read_solution(ModelKind.ALLOCATION, fig2, "\n".join(lines), W10)
 
 
 @needs_solver

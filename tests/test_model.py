@@ -28,6 +28,8 @@ from balcon import (
     vm_size,
 )
 
+from balcon.model import load_key
+
 from conftest import A, GREEN, RED, random_instance
 
 
@@ -186,6 +188,57 @@ class TestScalarMeasures:
         assert surrogate_load(0, empty) == 0
         packed = Mapping(fig2, [0, 0, 1, 2, 0])  # host 0: red + a + yellow = (6,6)
         assert surrogate_load(0, packed) == 2
+
+
+@st.composite
+def _host_loads(draw, max_cap=None):
+    # capacities and a load within them; small capacities make close and
+    # equal loads common
+    if max_cap is None:
+        max_cap = draw(st.sampled_from([12, 10**6]))
+    cc, cm = draw(st.integers(1, max_cap)), draw(st.integers(1, max_cap))
+    return cc, cm, draw(st.integers(0, cc)), draw(st.integers(0, cm))
+
+
+class TestLoadKey:
+    """``load_key`` orders (host, load) pairs exactly as their ``Fraction``
+    surrogate loads do, with capacities up to 10**6 in both resources."""
+
+    @given(_host_loads(), _host_loads())
+    def test_orders_as_fractions(self, a, b):
+        inst = Instance([Host(0, ResourceVec(*a[:2])), Host(1, ResourceVec(*b[:2]))], [], [], [])
+        (ka, la), (kb, lb) = [
+            (load_key(inst, h, lc, lm), Fraction(lc, cc) + Fraction(lm, cm))
+            for h, (cc, cm, lc, lm) in enumerate((a, b))
+        ]
+        assert (ka > kb) - (ka < kb) == (la > lb) - (la < lb)
+
+    @given(_host_loads(max_cap=10**6 // 7), st.integers(2, 7), st.integers(1, 10**6))
+    def test_equal_loads_get_equal_keys(self, a, k, other):
+        # a host k times as large at k times the load has the same load;
+        # a third host only widens the scale
+        cc, cm, lc, lm = a
+        hosts = [
+            Host(0, ResourceVec(cc, cm)),
+            Host(1, ResourceVec(k * cc, k * cm)),
+            Host(2, ResourceVec(other, other)),
+        ]
+        inst = Instance(hosts, [], [], [])
+        assert load_key(inst, 0, lc, lm) == load_key(inst, 1, k * lc, k * lm)
+
+    def test_every_small_host_and_load(self):
+        # all capacities up to 6 in one instance: sorted by exact load, the
+        # keys never fall and change exactly where the load does
+        caps = [(c, m) for c in range(1, 7) for m in range(1, 7)]
+        inst = Instance([Host(h, ResourceVec(c, m)) for h, (c, m) in enumerate(caps)], [], [], [])
+        pairs = sorted(
+            (Fraction(lc, c) + Fraction(lm, m), load_key(inst, h, lc, lm))
+            for h, (c, m) in enumerate(caps)
+            for lc in range(c + 1)
+            for lm in range(m + 1)
+        )
+        for (la, ka), (lb, kb) in zip(pairs, pairs[1:]):
+            assert (ka < kb) == (la < lb) and ka <= kb
 
 
 def _cross(a_cpu: int, a_mem: int, b_cpu: int, b_mem: int) -> int:
@@ -448,6 +501,67 @@ class TestJson:
         }
         with pytest.raises(InfeasibleInstanceError, match="host 0 in mem"):
             instance_from_dict(doc)
+
+
+class TestRejections:
+    """Each malformed document, mapping or weight names what is wrong."""
+
+    @pytest.mark.parametrize("kind", ["hosts", "flavors", "vms"])
+    def test_mismatched_id(self, fig2, kind):
+        doc = instance_to_dict(fig2)
+        doc[kind][1]["id"] = 7
+        with pytest.raises(InstanceFormatError, match=rf"^{kind}\[1\]\.id must be 1, got 7$"):
+            instance_from_dict(doc)
+
+    def test_unknown_initial_host(self, fig2):
+        doc = instance_to_dict(fig2)
+        doc["vms"][2]["host"] = 3
+        with pytest.raises(InstanceFormatError, match=r"^vms\[2\]\.host: unknown host id 3$"):
+            instance_from_dict(doc)
+
+    @pytest.mark.parametrize("kind, field", [("hosts", "cpu"), ("flavors", "mem"), ("vms", "host")])
+    def test_missing_entry_field(self, fig2, kind, field):
+        doc = instance_to_dict(fig2)
+        del doc[kind][0][field]
+        with pytest.raises(InstanceFormatError, match=rf"^{kind}\[0\]: missing field '{field}'$"):
+            instance_from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [[], "hosts", None])
+    def test_document_not_an_object(self, doc):
+        with pytest.raises(InstanceFormatError, match="instance document must be a JSON object"):
+            instance_from_dict(doc)
+
+    @pytest.mark.parametrize("kind", ["hosts", "flavors", "vms"])
+    def test_top_level_field_not_a_list(self, fig2, kind):
+        doc = instance_to_dict(fig2)
+        doc[kind] = {"0": doc[kind][0]}
+        with pytest.raises(InstanceFormatError, match=rf"^{kind}: expected a list$"):
+            instance_from_dict(doc)
+
+    def test_initial_mapping_length(self, fig2):
+        with pytest.raises(InstanceFormatError, match="initial mapping covers 4 VMs, expected 5"):
+            Instance(fig2.hosts, fig2.flavors, fig2.vms, [0, 1, 1, 2])
+
+    def test_mapping_length(self, fig2):
+        with pytest.raises(ValueError, match="assignment length does not match the VM count"):
+            Mapping(fig2, [0, 1, 1, 2])
+
+    def test_mapping_unknown_host(self, fig2):
+        with pytest.raises(ValueError, match="vm 3 mapped to unknown host 5"):
+            Mapping(fig2, [0, 1, 1, 5, 2])
+
+    def test_partial_mapping_not_serialized(self, fig2):
+        with pytest.raises(ValueError, match="cannot serialize a partial mapping"):
+            instance_with_mapping(fig2, Mapping(fig2, [0, 1, None, 2, 2]))
+
+    def test_negative_mph(self):
+        with pytest.raises(ValueError, match="mph must be non-negative"):
+            ObjectiveWeights.from_mph(-1)
+
+    def test_vm_size_without_vm_load(self):
+        inst = Instance([Host(0, ResourceVec(2, 2))], [Flavor(0, ResourceVec(1, 1))], [], [])
+        with pytest.raises(ValueError, match="VM sizes are undefined: instance has no VM load"):
+            vm_size(0, inst)
 
 
 def test_migrated_memory_depends_only_on_final_positions(fig2):

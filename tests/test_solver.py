@@ -43,6 +43,7 @@ from balcon.classify import (
     potential_capacity,
     split_class,
 )
+from balcon.model import load_key
 from balcon.solver import ForceFitResult, ReleaseEngine, _capacity_candidates, free_ratio_key
 
 from conftest import A, B, GREEN, RED, YELLOW, random_instance, tiny_instances
@@ -335,13 +336,13 @@ def _reference_evict(v: int, h: int, mu: Mapping, lopsided: bool) -> list[int]:
     re-add the excluded ones in reverse order when they fit."""
     inst = mu.inst
     lc, lm = mu.load_parts(h)
-    angle = Fraction(inst.vm_cpu(v), inst.vm_mem(v))
+    angle = Fraction(inst._vm_cpu[v], inst._vm_mem[v])
     below = lm > 0 and Fraction(lc, lm) < angle
 
     def key(w):
-        wa = Fraction(inst.vm_cpu(w), inst.vm_mem(w))
+        wa = Fraction(inst._vm_cpu[w], inst._vm_mem[w])
         in_zone = (wa < angle if below else wa > angle) if lopsided else True
-        return (not in_zone, inst.initial_host(w) == h, inst.vm_mem(w), w)
+        return (not in_zone, inst.initial_host(w) == h, inst._vm_mem[w], w)
 
     excluded = []
     for w in sorted(mu.members(h), key=key):
@@ -876,10 +877,10 @@ def _check_engine_state(engine: ReleaseEngine, params: SolverParams) -> None:
     mu, mu0 = engine.mu, engine.mu0
     inst = mu.inst
     active = mu.active_hosts()
-    assert engine.cap_active_c == sum(inst.capacity(g).cpu for g in active)
-    assert engine.cap_active_m == sum(inst.capacity(g).mem for g in active)
+    assert engine.cap_active_c == sum(inst._cap_cpu[g] for g in active)
+    assert engine.cap_active_m == sum(inst._cap_mem[g] for g in active)
     assert engine.lost_mem == sum(
-        inst.vm_mem(v) for v in range(len(inst.vms)) if inst.initial_host(v) not in active
+        inst._vm_mem[v] for v in range(len(inst.vms)) if inst.initial_host(v) not in active
     )
     big = replace(params, force_step_limit=10**5)
     for h in active:
@@ -961,7 +962,7 @@ def _run_room_checked(inst: Instance, mph, algo: str) -> Counter:
             assert stashed and mu.vms_on(h) == stashed and out.force_steps == 0
             v = min(stashed, key=lambda w: (-inst._size_num[w], w))
             hosts = [g for g in engine.active if g != h]
-            assert not _fitting(mu, hosts, inst.vm_cpu(v), inst.vm_mem(v)), h
+            assert not _fitting(mu, hosts, inst._vm_cpu[v], inst._vm_mem[v]), h
             ran["probe"] += 1
         return out
 
@@ -971,7 +972,7 @@ def _run_room_checked(inst: Instance, mph, algo: str) -> Counter:
         for (cpu, mem), room in engine.rooms.items():
             fitting = _fitting(mu, mu.active_hosts(), cpu, mem)
             assert [g for _, g in room] == _by_load(mu, fitting), (cpu, mem)
-            assert room == sorted(engine._entry(g, *mu.load_parts(g)) for g in fitting)
+            assert room == sorted((-load_key(inst, g, *mu.load_parts(g)), g) for g in fitting)
         ran["commit with rooms"] += bool(engine.rooms)
 
     def engine_fit(engine, v):
@@ -1187,8 +1188,8 @@ def _run_index_checked(inst: Instance, mph, algo: str) -> Counter:
         ran["with no attempt open"] += not opened
         ran["after a release"] += any(a.released for a in engine.attempts)
         ran["moved besides h"] += opened and bool(mu.moved_hosts().keys() - {h})
-        cap = mu.inst.capacity(h)
-        ran["h had free space"] += (load_c[h], load_m[h]) != (cap.cpu, cap.mem)
+        cap = (mu.inst._cap_cpu[h], mu.inst._cap_mem[h])
+        ran["h had free space"] += (load_c[h], load_m[h]) != cap
         return sums
 
     def engine_classify(engine, s_cpu, s_mem, alpha):
@@ -1301,7 +1302,7 @@ class TestFirstMissProbe:
                 assert engine.free_sums(s_cpu, s_mem) == _scan_sums(mu, hosts, s_cpu, s_mem)
                 stash = Stash(inst, mu.vms_on(g))
                 v = stash.peek()
-                if not _fitting(mu, hosts, inst.vm_cpu(v), inst.vm_mem(v)):
+                if not _fitting(mu, hosts, inst._vm_cpu[v], inst._vm_mem[v]):
                     want = classify(stash, hosts, mu, v, alpha)
                     assert engine.classify(s_cpu, s_mem, alpha) == want
             engine.attempt(h, place)
