@@ -292,9 +292,11 @@ def cmd_solve_lp(args) -> int:
 
 def _algo_list(text: str) -> list[str]:
     names = [a.strip() for a in text.split(",") if a.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError("expected at least one algorithm")
     for name in names:
         if name not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {name!r}; choose from {sorted(ALGORITHMS)}")
+            raise argparse.ArgumentTypeError(f"unknown algorithm {name!r}; choose from {sorted(ALGORITHMS)}")
     return names
 
 
@@ -352,7 +354,7 @@ def cmd_eval(args) -> int:
 
 def _sweep_worker(payload):
     inst, algorithms, mph, params = payload
-    return mph_sweep(inst, algorithms, [mph], base_params=params)
+    return mph_sweep(inst, algorithms, [mph], params)
 
 
 def cmd_sweep(args) -> int:

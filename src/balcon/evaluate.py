@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .model import Instance, Mapping, ObjectiveWeights, objective
-from .oracle import OracleLimits, OracleSizeError, brute_force_optimal
+from .oracle import OracleSizeError, brute_force_optimal
 from .sercon import sercon_modified, sercon_original
 from .solver import RunReport, SolverParams, balcon
 
@@ -121,19 +121,27 @@ def mean_gap(records: Iterable[GapRecord], non_trivial_only: bool = True) -> Fra
 def resolve_reference(
     inst: Instance,
     weights: ObjectiveWeights,
-    oracle_limits: OracleLimits | None = None,
     lb_objective: object | None = None,
 ) -> tuple[str, object | None]:
     """Pick the best available reference: oracle, then an external LB, then
     nothing (records labeled "initial")."""
     try:
-        result = brute_force_optimal(inst, weights, oracle_limits or OracleLimits())
-        return "oracle", result.objective
+        return "oracle", brute_force_optimal(inst, weights).objective
     except OracleSizeError:
-        pass
-    if lb_objective is not None:
-        return "lb", lb_objective
-    return "initial", None
+        return ("initial", None) if lb_objective is None else ("lb", lb_objective)
+
+
+def _scored(inst: Instance, algorithms: Sequence[str], params: SolverParams, lb_objective: object | None):
+    """Yield the reference once, as ``(ref_kind, ref_objective, init_objective,
+    initial_active_hosts)``, then ``(name, report, gap)`` for each algorithm
+    in the given order, looked up in ``ALGORITHMS`` when it runs."""
+    mu0 = inst.initial_mapping()
+    init_obj = objective(mu0, mu0, params.weights)
+    ref_kind, ref_obj = resolve_reference(inst, params.weights, lb_objective)
+    yield ref_kind, ref_obj, init_obj, mu0.active_count()
+    for name in algorithms:
+        _, report = ALGORITHMS[name](inst, params)
+        yield name, report, None if ref_obj is None else gap(report.objective, ref_obj, init_obj)
 
 
 def evaluate_instance(
@@ -143,64 +151,30 @@ def evaluate_instance(
     params: SolverParams,
     lb_objective: object | None = None,
 ) -> list[GapRecord]:
-    mu0 = inst.initial_mapping()
-    init_obj = objective(mu0, mu0, params.weights)
-    ref_kind, ref_obj = resolve_reference(inst, params.weights, lb_objective=lb_objective)
-    records = []
-    for name in algorithms:
-        _, report = ALGORITHMS[name](inst, params)
-        if ref_obj is None:
-            g = None
-        else:
-            g = gap(report.objective, ref_obj, init_obj)
-        records.append(
-            GapRecord(
-                instance_id=instance_id,
-                algorithm=name,
-                ref_kind=ref_kind,
-                alg_objective=report.objective,
-                ref_objective=ref_obj,
-                init_objective=init_obj,
-                gap=g,
-                non_trivial=report.active_hosts < mu0.active_count(),
-            )
-        )
-    return records
+    runs = _scored(inst, algorithms, params, lb_objective)
+    ref_kind, ref_obj, init_obj, init_active = next(runs)
+    return [
+        GapRecord(instance_id, name, ref_kind, r.objective, ref_obj, init_obj, g, r.active_hosts < init_active)
+        for name, r, g in runs
+    ]
 
 
 def mph_sweep(
     inst: Instance,
     algorithms: Sequence[str],
     mph_grid: Sequence[object],
-    base_params: SolverParams | None = None,
+    base_params: SolverParams,
 ) -> list[SweepPoint]:
-    """One run per (mph, algorithm) on the same instance, with the oracle's
-    objective per mph as the reference where the oracle takes the instance."""
+    """One run per (mph, algorithm) on the same instance under ``base_params``
+    with that mph's weights, each against the reference at that mph."""
     points: list[SweepPoint] = []
     for mph in mph_grid:
-        weights = ObjectiveWeights.from_mph(mph)
-        if base_params is None:
-            params = SolverParams(weights=weights)
-        else:
-            params = replace(base_params, weights=weights)
-        ref_kind, ref_obj = resolve_reference(inst, weights)
-        mu0 = inst.initial_mapping()
-        init_obj = objective(mu0, mu0, weights)
-        for name in algorithms:
-            _, report = ALGORITHMS[name](inst, params)
-            g = None if ref_obj is None else gap(report.objective, ref_obj, init_obj)
-            points.append(
-                SweepPoint(
-                    mph=mph,
-                    algorithm=name,
-                    active_hosts=report.active_hosts,
-                    migrated_mem=report.migrated_mem,
-                    force_steps=report.force_steps,
-                    objective=report.objective,
-                    gap=g,
-                    ref_kind=ref_kind,
-                )
-            )
+        runs = _scored(inst, algorithms, replace(base_params, weights=ObjectiveWeights.from_mph(mph)), None)
+        ref_kind = next(runs)[0]
+        points += (
+            SweepPoint(mph, name, r.active_hosts, r.migrated_mem, r.force_steps, r.objective, g, ref_kind)
+            for name, r, g in runs
+        )
     return points
 
 

@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 MIGRATION_TIEBREAK_EPSILON = Fraction(1, 10**6)
+_TOL = 1e-6  # slack on a solver's floats, for integrality and each row read back
 
 
 class ModelKind(Enum):
@@ -273,16 +274,16 @@ def _parse_variable_dump(text: str) -> dict[str, float]:
     return values
 
 
-def _as_int(name: str, value: float, tol: float) -> int:
+def _as_int(name: str, value: float) -> int:
     rounded = round(value)
-    if abs(value - rounded) > tol:
+    if abs(value - rounded) > _TOL:
         raise SolutionError(f"{name} = {value} is not integral")
     return int(rounded)
 
 
-def _active(n_hosts: int, values: dict[str, float], tol: float) -> list[int]:
+def _active(n_hosts: int, values: dict[str, float]) -> list[int]:
     # the active_h* values, each checked to be binary
-    active = [_as_int(f"active_h{h}", values.get(f"active_h{h}", 0.0), tol) for h in range(n_hosts)]
+    active = [_as_int(f"active_h{h}", values.get(f"active_h{h}", 0.0)) for h in range(n_hosts)]
     for h, n in enumerate(active):
         if n not in (0, 1):
             raise SolutionError(f"active_h{h} violated: {n} is not binary")
@@ -292,27 +293,25 @@ def _active(n_hosts: int, values: dict[str, float], tol: float) -> list[int]:
 def read_solution(
     kind: ModelKind,
     inst: Instance,
-    source: str | TextIO,
+    text: str,
     weights: ObjectiveWeights,
-    tol: float = 1e-6,
 ) -> SolutionReport:
-    """Ingest a solver variable dump for a model emitted from ``inst``.
+    """Ingest the text of a solver variable dump for a model emitted from ``inst``.
 
     Allocation solutions are reconstructed into a mapping and validated
     against every emitted row; flow solutions are validated for conservation,
     out-capacity, evacuation and resource rows but not expanded to a per-VM
     mapping (the formulation is deliberately symmetric across VMs of one
-    flavor).  Missing variables default to zero.
+    flavor).  Missing variables default to zero; each check allows ``_TOL`` of slack.
     """
-    text = source if isinstance(source, str) else source.read()
     values = _parse_variable_dump(text)
     if kind is ModelKind.ALLOCATION:
-        return _read_allocation(inst, values, weights, tol)
-    return _read_flow(kind, inst, values, weights, tol)
+        return _read_allocation(inst, values, weights)
+    return _read_flow(kind, inst, values, weights)
 
 
 def _read_allocation(
-    inst: Instance, values: dict[str, float], weights: ObjectiveWeights, tol: float
+    inst: Instance, values: dict[str, float], weights: ObjectiveWeights
 ) -> SolutionReport:
     n_vms = len(inst.vms)
     n_hosts = len(inst.hosts)
@@ -321,7 +320,7 @@ def _read_allocation(
         chosen = [
             h
             for h in range(n_hosts)
-            if _as_int(f"alloc_v{v}_h{h}", values.get(f"alloc_v{v}_h{h}", 0.0), tol) == 1
+            if _as_int(f"alloc_v{v}_h{h}", values.get(f"alloc_v{v}_h{h}", 0.0)) == 1
         ]
         if len(chosen) != 1:
             raise SolutionError(f"assign_v{v} violated: vm {v} allocated to {chosen}")
@@ -333,12 +332,12 @@ def _read_allocation(
             raise SolutionError(f"cpu_h{h} violated: load {lc} > {inst._cap_cpu[h]}")
         if lm > inst._cap_mem[h]:
             raise SolutionError(f"mem_h{h} violated: load {lm} > {inst._cap_mem[h]}")
-    active = _active(n_hosts, values, tol)
+    active = _active(n_hosts, values)
     for v in range(n_vms):
         h = assignment[v]
         if active[h] != 1:
             raise SolutionError(f"link_v{v}_h{h} violated: vm on inactive host")
-    migr = [_as_int(f"migr_v{v}", values.get(f"migr_v{v}", 0.0), tol) for v in range(n_vms)]
+    migr = [_as_int(f"migr_v{v}", values.get(f"migr_v{v}", 0.0)) for v in range(n_vms)]
     for v in range(n_vms):
         expected = 0 if assignment[v] == inst._initial[v] else 1
         if migr[v] != expected:
@@ -352,7 +351,6 @@ def _read_flow(
     inst: Instance,
     values: dict[str, float],
     weights: ObjectiveWeights,
-    tol: float,
 ) -> SolutionReport:
     n_hosts = len(inst.hosts)
     n_flavors = len(inst.flavors)
@@ -362,26 +360,26 @@ def _read_flow(
     def flow_value(name: str) -> float | int:
         raw = values.get(name, 0.0)
         if relaxed:
-            if raw < -tol:
+            if raw < -_TOL:
                 raise SolutionError(f"{name} violated: negative flow {raw}")
             return max(raw, 0.0)
-        n = _as_int(name, raw, tol)
+        n = _as_int(name, raw)
         if n < 0:
             raise SolutionError(f"{name} violated: negative flow {n}")
         return n
 
-    active = _active(n_hosts, values, tol)
+    active = _active(n_hosts, values)
     flow_in = [[flow_value(f"in_f{f}_h{h}") for h in range(n_hosts)] for f in range(n_flavors)]
     flow_out = [[flow_value(f"out_f{f}_h{h}") for h in range(n_hosts)] for f in range(n_flavors)]
     for f in range(n_flavors):
-        if abs(sum(flow_out[f]) - sum(flow_in[f])) > tol:
+        if abs(sum(flow_out[f]) - sum(flow_in[f])) > _TOL:
             raise SolutionError(f"flow_f{f} violated: out {sum(flow_out[f])} != in {sum(flow_in[f])}")
         for h in range(n_hosts):
-            if flow_out[f][h] > counts[f][h] + tol:
+            if flow_out[f][h] > counts[f][h] + _TOL:
                 raise SolutionError(
                     f"outcap_f{f}_h{h} violated: out {flow_out[f][h]} > {counts[f][h]}"
                 )
-            if counts[f][h] * (1 - active[h]) > flow_out[f][h] + tol:
+            if counts[f][h] * (1 - active[h]) > flow_out[f][h] + _TOL:
                 raise SolutionError(
                     f"evac_f{f}_h{h} violated: inactive host retains {counts[f][h]} VMs"
                 )
@@ -391,7 +389,7 @@ def _read_flow(
             for f in range(n_flavors):
                 demand = getattr(inst.flavors[f].demand, resource)
                 total += demand * (counts[f][h] + flow_in[f][h] - flow_out[f][h])
-            if total > cap * active[h] + tol:
+            if total > cap * active[h] + _TOL:
                 raise SolutionError(
                     f"{resource}_h{h} violated: load {total} > {cap * active[h]}"
                 )

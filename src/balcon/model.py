@@ -528,9 +528,12 @@ def load_key(inst: Instance, h: int, lc: int, lm: int) -> int:
 
     The load is num / den = (lc * cap_m + lm * cap_c) / (cap_c * cap_m), the
     key num * S // den with S = ``inst._key_scale`` = D**2, D the largest
-    cap_c * cap_m.  Two distinct loads a/b < c/d with 1 <= b, d <= D differ
-    by (cb - ad) / (bd) >= 1 / D**2, so c * S / d >= a * S / b + 1 and the
-    floors keep the order."""
+    cap_c * cap_m.  Lemma: for integers a, c >= 0 and 1 <= b, d <= D, the
+    floors a * S // b and c * S // d compare as a/b and c/d do.  Equal
+    ratios give equal floors; distinct ones a/b < c/d differ by (cb - ad) /
+    (bd) >= 1 / D**2, so c * S / d >= a * S / b + 1.  The lemma applies to
+    den <= D, and to the free space fc / fm that ``solver.ReleaseEngine``'s
+    angle index sorts by, as fm <= cap_m <= D."""
     cc, cm = inst._cap_cpu[h], inst._cap_mem[h]
     return (lc * cm + lm * cc) * inst._key_scale // (cc * cm)
 

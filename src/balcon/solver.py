@@ -36,7 +36,6 @@ __all__ = [
     "RunReport",
     "ForceFitResult",
     "ReleaseEngine",
-    "free_ratio_key",
     "balcon",
     "force_fit",
     "best_fit",
@@ -384,10 +383,10 @@ def force_fit(
     stash: Stash,
     engine: ReleaseEngine,
     params: SolverParams,
-    trace: TraceSink = None,
 ) -> ForceFitResult:
     """Drain the stash of the release attempt ``engine`` has open
-    (``ReleaseEngine.begin``) into the attempt's hosts, mutating ``engine.mu``.
+    (``ReleaseEngine.begin``) into the attempt's hosts, mutating ``engine.mu``,
+    with the engine's trace sink (``engine.trace``) seeing every step.
 
     Each iteration first tries a direct Best Fit placement of the stash's
     largest VM v; the cluster is Ample exactly when one exists.  Only when v
@@ -454,7 +453,7 @@ def force_fit(
     prohibitor = RepeatsProhibitor(params.repeat_limit)
     toggle = ResourceToggle("cpu")
     balanced = ClusterClass.BALANCED
-    mu = engine.mu
+    mu, trace = engine.mu, engine.trace
     inst = mu.inst
     vm_cpu, vm_mem = inst._vm_cpu, inst._vm_mem
     hosts = None
@@ -617,7 +616,6 @@ class ReleaseEngine:
         self.lost_mem = 0
         self.rooms: dict[tuple[int, int], list[tuple[int, int]]] = {}
         self.angles: tuple[list[int], list[int], list[int], list[int]] | None = None
-        self.angle_key = free_ratio_key(max(cap_m, default=0), max(cap_c, default=0))
         self.releasing: int | None = None  # the host of the current attempt
         self.dests: set[int] = set()  # where ``best_fit`` placed in this attempt
         # each host's last attempt, if it failed, since the last commit
@@ -775,12 +773,14 @@ class ReleaseEngine:
         return cap_num, sum_c, sum_m
 
     def _build_angles(self) -> None:
-        # the committed free space of the active hosts, sorted by fc / fm
+        # the committed free space of the active hosts, sorted by fc / fm,
+        # fm = 0 last: exact by ``model.load_key``'s lemma, fc * S // fm <= max cap_c * S
         inst = self.mu.inst
-        cap_c, cap_m = inst._cap_cpu, inst._cap_mem
+        cap_c, cap_m, scale = inst._cap_cpu, inst._cap_mem, inst._key_scale
         load_c, load_m = self.mu.committed_loads()
         free = [(cap_c[g] - load_c[g], cap_m[g] - load_m[g]) for g in self.active]
-        free.sort(key=self.angle_key)
+        last = (max(cap_c) + 1) * scale
+        free.sort(key=lambda f: f[0] * scale // f[1] if f[1] else last)
         fcs = [fc for fc, _ in free]
         fms = [fm for _, fm in free]
         self.angles = (fcs, fms, [0, *accumulate(fcs)], [0, *accumulate(fms)])
@@ -1012,23 +1012,6 @@ class ReleaseEngine:
         )
 
 
-def free_ratio_key(max_mem: int, max_cpu: int) -> Callable[[tuple[int, int]], int]:
-    """An exact integer sort key for free space ``(fc, fm)`` by the ratio
-    fc / fm, with fm = 0 last, for 0 <= fc <= max_cpu and 0 <= fm <= max_mem.
-
-    The key is ``fc * D // fm`` with D = M * M and M = max(max_mem, 1), and
-    ``(max_cpu + 1) * D`` when fm = 0, which is above every other key since
-    ``fc * D // fm <= max_cpu * D``.  Equal ratios get equal keys.  Two
-    distinct ratios a/b < c/d with 1 <= b, d <= M differ by (cb - ad) / (bd)
-    >= 1 / M**2, so c * D / d >= a * D / b + 1 and the floors differ by at
-    least 1 in the same order.  So the keys order the pairs exactly as their
-    ratios do, with no ``Fraction``.
-    """
-    d = max(max_mem, 1) ** 2
-    last = (max_cpu + 1) * d
-    return lambda f: f[0] * d // f[1] if f[1] else last
-
-
 def balcon(
     inst: Instance,
     params: SolverParams,
@@ -1046,7 +1029,7 @@ def balcon(
     costs = migration_costs(engine.mu0, engine.mu0)
 
     def place(stashed: tuple[int, ...]) -> ForceFitResult:
-        return force_fit(Stash(inst, stashed), engine, params, trace)
+        return force_fit(Stash(inst, stashed), engine, params)
 
     def miss(v: int, stashed: tuple[int, ...]) -> ForceFitResult:
         # force_fit's result on a zero budget when the stash's largest VM

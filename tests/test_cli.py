@@ -228,6 +228,22 @@ class TestFlagMessages:
         assert message in err
         assert "invalid" not in err and "parse_" not in err and "_flag" not in err
 
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    @pytest.mark.parametrize(
+        "algos, message",
+        [
+            ("balcon,foo", "argument --algos: unknown algorithm 'foo'; choose from ['balcon', 'sercon-mod', 'sercon-orig']"),
+            (",", "argument --algos: expected at least one algorithm"),
+        ],
+    )
+    def test_algos_names_the_bad_value(self, command, algos, message, fig2_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        extra = ["--out-dir", str(out)] if command == "eval" else ["--grid", "0", "-o", str(out)]
+        assert main([command, "--algos", algos, *extra, str(fig2_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"balcon {command}: error: {message}"
+        assert not out.exists()
+
     def test_alpha_range_error_quotes_the_text(self, fig2_path, tmp_path, capsys):
         out = tmp_path / "result.json"
         assert main(["solve", "--alpha", "1e400", "-o", str(out), str(fig2_path)]) == 2

@@ -26,7 +26,16 @@ from balcon.evaluate import (
     write_profile_csv,
     write_sweep_csv,
 )
-from balcon.oracle import OracleLimits
+
+
+# any base weights: mph_sweep sets each grid point's own
+SWEEP_PARAMS = SolverParams(weights=ObjectiveWeights(1, 0))
+
+
+def five_hosts() -> Instance:
+    # five hosts exceed the oracle's default limit of four
+    hosts = [Host(h, ResourceVec(4, 4)) for h in range(5)]
+    return Instance(hosts, [Flavor(0, ResourceVec(1, 1))], [VM(v, 0) for v in range(5)], range(5))
 
 
 def record(g, non_trivial=True, **kw):
@@ -113,14 +122,12 @@ class TestResolveReference:
         kind, obj = resolve_reference(fig2, ObjectiveWeights(10, 1))
         assert kind == "oracle" and obj == 24
 
-    def test_lb_when_oracle_refuses(self, fig2):
-        kind, obj = resolve_reference(
-            fig2, ObjectiveWeights(10, 1), OracleLimits(max_vms=1), lb_objective=20
-        )
+    def test_lb_when_oracle_refuses(self):
+        kind, obj = resolve_reference(five_hosts(), ObjectiveWeights(10, 1), lb_objective=20)
         assert kind == "lb" and obj == 20
 
-    def test_initial_when_nothing_available(self, fig2):
-        kind, obj = resolve_reference(fig2, ObjectiveWeights(10, 1), OracleLimits(max_vms=1))
+    def test_initial_when_nothing_available(self):
+        kind, obj = resolve_reference(five_hosts(), ObjectiveWeights(10, 1))
         assert kind == "initial" and obj is None
 
 
@@ -137,9 +144,7 @@ class TestEvaluateInstance:
 
 
     def test_beyond_the_oracle_without_a_bound(self):
-        # five hosts exceed the oracle's default limit of four
-        hosts = [Host(h, ResourceVec(4, 4)) for h in range(5)]
-        inst = Instance(hosts, [Flavor(0, ResourceVec(1, 1))], [VM(v, 0) for v in range(5)], range(5))
+        inst = five_hosts()
         params = SolverParams(weights=ObjectiveWeights(10, 1))
         (record,) = evaluate_instance("five", inst, ["balcon"], params)
         assert (record.ref_kind, record.ref_objective, record.gap) == ("initial", None, None)
@@ -149,7 +154,7 @@ class TestEvaluateInstance:
 
 class TestMphSweep:
     def test_fig2_sweep(self, fig2):
-        points = mph_sweep(fig2, ["balcon", "sercon-mod"], [0, 3, 4, 8, math.inf])
+        points = mph_sweep(fig2, ["balcon", "sercon-mod"], [0, 3, 4, 8, math.inf], SWEEP_PARAMS)
         by_key = {(p.mph, p.algorithm): p for p in points}
         # balcon reaches two hosts exactly when the budget covers the
         # 4-unit release; sercon-mod never moves
@@ -170,7 +175,7 @@ class TestMphSweep:
         assert by_key[(math.inf, "balcon")].ref_kind == "oracle"
 
     def test_objective_never_worse_than_initial(self, fig2):
-        points = mph_sweep(fig2, ["balcon", "sercon-mod", "sercon-orig"], [0, 2, 5, math.inf])
+        points = mph_sweep(fig2, ["balcon", "sercon-mod", "sercon-orig"], [0, 2, 5, math.inf], SWEEP_PARAMS)
         mu0 = fig2.initial_mapping()
         for p in points:
             w = ObjectiveWeights.from_mph(p.mph)
@@ -196,7 +201,7 @@ class TestCsvWriters:
         assert rows[1][0] == "0"
 
     def test_sweep_csv(self, fig2, tmp_path):
-        points = mph_sweep(fig2, ["balcon"], [0, math.inf])
+        points = mph_sweep(fig2, ["balcon"], [0, math.inf], SWEEP_PARAMS)
         path = tmp_path / "sweep.csv"
         write_sweep_csv(points, path)
         rows = list(csv.DictReader(path.read_text().splitlines()))

@@ -44,7 +44,7 @@ from balcon.classify import (
     split_class,
 )
 from balcon.model import load_key
-from balcon.solver import ForceFitResult, ReleaseEngine, _capacity_candidates, free_ratio_key
+from balcon.solver import ForceFitResult, ReleaseEngine, _capacity_candidates
 
 from conftest import A, B, GREEN, RED, YELLOW, random_instance, tiny_instances
 from test_golden_reports import BASELINE_GROUPS, BASELINES, GROUPS as GOLDEN_GROUPS
@@ -398,8 +398,8 @@ def _release(inst: Instance, h: int, params: SolverParams = INF_PARAMS, trace=No
     by ``ReleaseEngine.begin`` outside ``attempt`` (so without its
     lower-bound skip and first-miss probe) and left open; returns the result
     and the mapping."""
-    engine = ReleaseEngine(inst, params.weights)
-    result = force_fit(Stash(inst, engine.begin(h)), engine, params, trace)
+    engine = ReleaseEngine(inst, params.weights, trace)
+    result = force_fit(Stash(inst, engine.begin(h)), engine, params)
     return result, engine.mu
 
 
@@ -710,7 +710,11 @@ def _differential(stash: Stash, engine: ReleaseEngine, params: SolverParams, run
     ref_stash = Stash(mu.inst, [v for v, g in enumerate(ref_mu.assignment) if g is None])
     ref_hosts = engine.hosts()
     events = []
-    result = run(stash, engine, params, events.append)
+    saved, engine.trace = engine.trace, events.append
+    try:
+        result = run(stash, engine, params)
+    finally:
+        engine.trace = saved
     want, repeat, want_assignment = _reference_force_fit(ref_stash, ref_hosts, ref_mu, params)
     assert result == want
     assert mu.assignment == want_assignment
@@ -739,7 +743,7 @@ def _differential_balcon(inst: Instance, weights: ObjectiveWeights, limit: int) 
     seen = Counter()
     real = solver.force_fit
 
-    def checked(stash, engine, params, trace=None):
+    def checked(stash, engine, params):
         result, repeat = _differential(stash, engine, params, real)
         seen["calls"] += 1
         seen["cycled"] += repeat is not None
@@ -1241,19 +1245,30 @@ class TestAngleIndex:
         assert (ran["with no attempt open"] > 0) == (algo == "sercon-mod"), ran
 
     def test_ratio_key_orders_like_fraction(self):
-        # every pair of free spaces (fc, fm) on a grid up to the capacities,
-        # with fm = 0 as an infinite ratio
+        # one active host per free space (fc, fm) on a grid, fc = 0 and
+        # fm = 0 included: host g of capacity (fc + 1, fm + 1) holds one
+        # (1, 1) VM.  The index must hold the free spaces as a stable sort
+        # by the Fraction fc / fm, with fm = 0 as an infinite ratio, does.
+        # The hosts come in shuffled order, so a key that told equal ratios
+        # apart would reorder some of them.
         max_cpu, max_mem = 9, 12
-        key = free_ratio_key(max_mem, max_cpu)
-        pairs = [(fc, fm) for fc in range(max_cpu + 1) for fm in range(max_mem + 1)]
+        grid = [(fc, fm) for fc in range(max_cpu + 1) for fm in range(max_mem + 1)]
+        random.Random(0).shuffle(grid)
+        inst = Instance(
+            [Host(g, ResourceVec(fc + 1, fm + 1)) for g, (fc, fm) in enumerate(grid)],
+            [Flavor(0, ResourceVec(1, 1))],
+            [VM(g, 0) for g in range(len(grid))],
+            list(range(len(grid))),
+        )
+        engine = ReleaseEngine(inst, INF_PARAMS.weights)
+        assert engine.active == list(range(len(grid)))
+        engine._build_angles()
+        fcs, fms, _, _ = engine.angles
 
         def ratio(f):
             return Fraction(f[0], f[1]) if f[1] else math.inf
 
-        for a in pairs:
-            for b in pairs:
-                ra, rb = ratio(a), ratio(b)
-                assert (key(a) < key(b), key(a) == key(b)) == (ra < rb, ra == rb), (a, b)
+        assert list(zip(fcs, fms)) == sorted(grid, key=ratio)
 
 
 def _scan_sums(mu: Mapping, hosts, s_cpu: int, s_mem: int) -> tuple[int, int, int]:
