@@ -7,8 +7,12 @@
   comments, short section headers) plus three emitted ``fig2`` models, each
   with the model the parser built: variable order, rows with their terms in
   order, objective, bounds, integer and binary sets.
-* ``emit``: the sha256 and counts of ``emit_model`` text for every model kind
-  on ``fig2`` and the first 10 tiny-corpus instances at mph 0, 10 and inf.
+* ``emit``: for every model kind at mph 0, 10 and inf, on ``fig2``, the first
+  10 tiny-corpus instances and default lopsided and uniform instances of 20
+  and 60 hosts (each at the first seed from 1 that generates): the sha256 and
+  counts of the ``emit_model`` text, and the sha256 of the model ``parse_lp``
+  builds from that text, dumped as in ``parse``.  The 60-host texts run to
+  hundreds of kilobytes each.
 
 Record the data again with::
 
@@ -25,6 +29,7 @@ from pathlib import Path
 import pytest
 
 from balcon import ModelKind, ObjectiveWeights, emit_model
+from balcon.datagen import GenConfig, GenerationError, generate_instance
 from balcon.ilp import parse_lp
 
 from conftest import make_fig2, tiny_instances
@@ -202,9 +207,22 @@ def model_record(m) -> dict:
     }
 
 
+def _first_generated(num_hosts: int, mode: str):
+    seed = 1
+    while True:
+        try:
+            return seed, generate_instance(GenConfig(seed=seed, num_hosts=num_hosts, mode=mode))
+        except GenerationError:
+            seed += 1
+
+
 def _emit_runs():
     insts = [("fig2", make_fig2())]
     insts += [(f"tiny/{i:03d}", inst) for i, inst in enumerate(tiny_instances(10))]
+    for num_hosts in (20, 60):
+        for mode in ("lopsided", "uniform"):
+            seed, inst = _first_generated(num_hosts, mode)
+            insts.append((f"{mode}/hosts={num_hosts}/seed={seed}", inst))
     for label, inst in insts:
         for mph, value in MPHS.items():
             weights = ObjectiveWeights.from_mph(value)
@@ -215,8 +233,10 @@ def _emit_runs():
 def emit_record(kind, inst, weights) -> list:
     buf = io.StringIO()
     counts = emit_model(kind, inst, weights, buf)
-    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-    return [digest, counts.variables, counts.constraints]
+    text = buf.getvalue()
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    parsed = hashlib.sha256(json.dumps(model_record(parse_lp(text))).encode()).hexdigest()
+    return [digest, counts.variables, counts.constraints, parsed]
 
 
 @pytest.fixture(scope="module")
@@ -237,7 +257,7 @@ def test_parse_cases_match_golden(golden):
 
 def test_emitted_text_matches_golden(golden):
     runs = list(_emit_runs())
-    assert len(runs) == len(golden["emit"]) == 99
+    assert len(runs) == len(golden["emit"]) == 135
     for label, kind, inst, weights in runs:
         assert emit_record(kind, inst, weights) == golden["emit"][label], label
 
