@@ -31,7 +31,8 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence, TextIO
+from itertools import chain
+from typing import Iterable, Iterator, TextIO
 
 from .model import Instance, Mapping, ObjectiveWeights
 
@@ -57,6 +58,7 @@ __all__ = [
 
 MIGRATION_TIEBREAK_EPSILON = Fraction(1, 10**6)
 _TOL = 1e-6  # slack on a solver's floats, for integrality and each row read back
+_ALLOC_NAME = re.compile(r"alloc_v(0|[1-9][0-9]*)_h(0|[1-9][0-9]*)").fullmatch
 
 
 class ModelKind(Enum):
@@ -109,20 +111,50 @@ def _fmt_num(x) -> str:
     return text or "0"
 
 
-def _expr(terms: Sequence[tuple[object, str]], keep_zero: str | None = None) -> str:
-    parts: list[str] = []
+def _expr(terms: Iterable[tuple[object, str]], keep_zero: str | None = None) -> Iterator[str]:
+    """The text of the linear expression ``terms``, ``x - 2 y + z``, in
+    pieces, one per nonzero term.  Without a nonzero term it is
+    ``0 keep_zero``, or a ``ValueError`` when ``keep_zero`` is None."""
+    first = True
     for coef, name in terms:
         if coef == 0:
             continue
-        sign = "-" if coef < 0 else "+"
         mag = _fmt_num(abs(coef))
-        parts.append(f"{sign} {name}" if mag == "1" else f"{sign} {mag} {name}")
-    if not parts:
+        term = name if mag == "1" else f"{mag} {name}"
+        if coef < 0:
+            yield f"- {term}" if first else f" - {term}"
+        else:
+            yield term if first else f" + {term}"
+        first = False
+    if first:
         if keep_zero is None:
             raise ValueError("empty linear expression")
-        return f"0 {keep_zero}"
-    text = " ".join(parts)
-    return text[2:] if text[0] == "+" else text
+        yield f"0 {keep_zero}"
+
+
+def _objective(
+    out: TextIO, w_a, active: list[str], migration: Iterable[tuple[object, str]]
+) -> None:
+    """Write the ``Minimize`` section, ``w_a`` per active host plus the
+    ``migration`` terms, term by term, and the ``Subject To`` header."""
+    write = out.write
+    write("Minimize\n obj: ")
+    for piece in _expr(chain(((w_a, name) for name in active), migration), keep_zero="active_h0"):
+        write(piece)
+    write("\nSubject To\n")
+
+
+def _section(out: TextIO, header: str, lines: Iterable[str]) -> int:
+    """Write ``header`` and then each of ``lines`` indented by one space, or
+    nothing when ``lines`` is empty; return how many lines were written."""
+    write = out.write
+    n = 0
+    for line in lines:
+        if not n:
+            write(f"{header}\n")
+        write(f" {line}\n")
+        n += 1
+    return n
 
 
 def _migration_weight(weights: ObjectiveWeights):
@@ -130,68 +162,43 @@ def _migration_weight(weights: ObjectiveWeights):
     return MIGRATION_TIEBREAK_EPSILON if weights.w_m == 0 else weights.w_m
 
 
-class _LpWriter:
-    def __init__(self) -> None:
-        self.rows: list[str] = []
-        self.objective = ""
-        self.bounds: list[str] = []
-        self.general: list[str] = []
-        self.binary: list[str] = []
-
-    def constraint(self, name: str, expr: str, sense: str, rhs) -> None:
-        self.rows.append(f" {name}: {expr} {sense} {_fmt_num(rhs)}")
-
-    def render(self) -> str:
-        lines = ["Minimize", f" obj: {self.objective}", "Subject To"]
-        lines.extend(self.rows)
-        if self.bounds:
-            lines.append("Bounds")
-            lines.extend(f" {b}" for b in self.bounds)
-        if self.general:
-            lines.append("General")
-            lines.extend(f" {n}" for n in self.general)
-        if self.binary:
-            lines.append("Binary")
-            lines.extend(f" {n}" for n in self.binary)
-        lines.append("End")
-        return "\n".join(lines) + "\n"
-
-
 def emit_allocation_model(inst: Instance, weights: ObjectiveWeights, out: TextIO) -> EmitCounts:
     n_vms = len(inst.vms)
     n_hosts = len(inst.hosts)
-    w = _LpWriter()
     w_mig = _migration_weight(weights)
     alloc = [[f"alloc_v{v}_h{h}" for h in range(n_hosts)] for v in range(n_vms)]
     active = [f"active_h{h}" for h in range(n_hosts)]
     migr = [f"migr_v{v}" for v in range(n_vms)]
+    write = out.write
 
-    obj_terms: list[tuple[object, str]] = [(weights.w_a, name) for name in active]
-    obj_terms += [(w_mig * m, name) for m, name in zip(inst._vm_mem, migr)]
-    w.objective = _expr(obj_terms, keep_zero="active_h0")
+    _objective(out, weights.w_a, active, ((w_mig * m, name) for m, name in zip(inst._vm_mem, migr)))
 
     # fixed-shape rows are formatted directly; every VM has an initial host,
     # so n_hosts > 0 whenever a VM row exists and no expression is empty
+    rows = 0
     for v in range(n_vms):
-        w.rows.append(f" assign_v{v}: {' + '.join(alloc[v])} = 1")
+        write(f" assign_v{v}: {' + '.join(alloc[v])} = 1\n")
+        rows += 1
     for resource, need, caps in (
         ("cpu", inst._vm_cpu, inst._cap_cpu),
         ("mem", inst._vm_mem, inst._cap_mem),
     ):
         for h in range(n_hosts):
             terms = [(need[v], alloc[v][h]) for v in range(n_vms)]
-            w.constraint(f"{resource}_h{h}", _expr(terms, keep_zero=active[h]), "<=", caps[h])
+            expr = "".join(_expr(terms, keep_zero=active[h]))
+            write(f" {resource}_h{h}: {expr} <= {_fmt_num(caps[h])}\n")
+            rows += 1
     for v in range(n_vms):
-        w.rows.extend(
-            f" link_v{v}_h{h}: {name} - {active[h]} <= 0" for h, name in enumerate(alloc[v])
-        )
+        for h, name in enumerate(alloc[v]):
+            write(f" link_v{v}_h{h}: {name} - {active[h]} <= 0\n")
+            rows += 1
     for v in range(n_vms):
-        w.rows.append(f" migr_v{v}: {migr[v]} + {alloc[v][inst._initial[v]]} = 1")
+        write(f" migr_v{v}: {migr[v]} + {alloc[v][inst._initial[v]]} = 1\n")
+        rows += 1
 
-    names = [name for row in alloc for name in row] + active + migr
-    w.binary = names
-    out.write(w.render())
-    return EmitCounts(len(names), len(w.rows))
+    variables = _section(out, "Binary", chain(chain.from_iterable(alloc), active, migr))
+    write("End\n")
+    return EmitCounts(variables, rows)
 
 
 def emit_flavor_flow_model(
@@ -200,32 +207,32 @@ def emit_flavor_flow_model(
     n_hosts = len(inst.hosts)
     n_flavors = len(inst.flavors)
     counts = initial_flavor_counts(inst)
-    w = _LpWriter()
     w_mig = _migration_weight(weights)
     demands = [flavor.demand for flavor in inst.flavors]
     active = [f"active_h{h}" for h in range(n_hosts)]
     inflow = [[f"in_f{f}_h{h}" for h in range(n_hosts)] for f in range(n_flavors)]
     outflow = [[f"out_f{f}_h{h}" for h in range(n_hosts)] for f in range(n_flavors)]
+    write = out.write
 
-    obj_terms: list[tuple[object, str]] = [(weights.w_a, name) for name in active]
-    obj_terms += [
-        (w_mig * demands[f].mem, name) for f in range(n_flavors) for name in outflow[f]
-    ]
-    w.objective = _expr(obj_terms, keep_zero="active_h0")
+    migration = ((w_mig * demands[f].mem, name) for f in range(n_flavors) for name in outflow[f])
+    _objective(out, weights.w_a, active, migration)
 
+    rows = 0
     for f in range(n_flavors):
         terms = [(1, name) for name in outflow[f]]
         terms += [(-1, name) for name in inflow[f]]
-        w.constraint(f"flow_f{f}", _expr(terms), "=", 0)
+        write(f" flow_f{f}: {''.join(_expr(terms))} = 0\n")
+        rows += 1
     for f in range(n_flavors):
-        w.rows.extend(
-            f" outcap_f{f}_h{h}: {outflow[f][h]} <= {n}" for h, n in enumerate(counts[f])
-        )
+        for h, n in enumerate(counts[f]):
+            write(f" outcap_f{f}_h{h}: {outflow[f][h]} <= {n}\n")
+            rows += 1
     for f in range(n_flavors):
         for h, n_fh in enumerate(counts[f]):
             out_fh = outflow[f][h]
-            expr = _expr([(-n_fh, active[h]), (-1, out_fh)], keep_zero=out_fh)
-            w.constraint(f"evac_f{f}_h{h}", expr, "<=", -n_fh)
+            expr = "".join(_expr([(-n_fh, active[h]), (-1, out_fh)], keep_zero=out_fh))
+            write(f" evac_f{f}_h{h}: {expr} <= {_fmt_num(-n_fh)}\n")
+            rows += 1
     for resource, caps in (("cpu", inst._cap_cpu), ("mem", inst._cap_mem)):
         need = [getattr(d, resource) for d in demands]
         for h in range(n_hosts):
@@ -233,15 +240,16 @@ def emit_flavor_flow_model(
             terms += [(-need[f], outflow[f][h]) for f in range(n_flavors)]
             terms.append((-caps[h], active[h]))
             rhs = -sum(need[f] * counts[f][h] for f in range(n_flavors))
-            w.constraint(f"{resource}_h{h}", _expr(terms), "<=", rhs)
+            write(f" {resource}_h{h}: {''.join(_expr(terms))} <= {_fmt_num(rhs)}\n")
+            rows += 1
 
     flow_names = [name for table in (inflow, outflow) for row in table for name in row]
-    w.bounds = [f"{name} >= 0" for name in flow_names]
+    n_flows = _section(out, "Bounds", (f"{name} >= 0" for name in flow_names))
     if not relaxed:
-        w.general = flow_names
-    w.binary = active
-    out.write(w.render())
-    return EmitCounts(len(flow_names) + n_hosts, len(w.rows))
+        _section(out, "General", flow_names)
+    _section(out, "Binary", active)
+    write("End\n")
+    return EmitCounts(n_flows + n_hosts, rows)
 
 
 def emit_model(kind: ModelKind, inst: Instance, weights: ObjectiveWeights, out: TextIO) -> EmitCounts:
@@ -315,13 +323,18 @@ def _read_allocation(
 ) -> SolutionReport:
     n_vms = len(inst.vms)
     n_hosts = len(inst.hosts)
+    # the dump's canonical alloc entries by VM; any other name is ignored,
+    # and a missing entry reads 0
+    entries: list[list[tuple[int, float]]] = [[] for _ in range(n_vms)]
+    for name, value in values.items():
+        match = _ALLOC_NAME(name)
+        if match is not None:
+            v, h = int(match[1]), int(match[2])
+            if v < n_vms and h < n_hosts:
+                entries[v].append((h, value))
     assignment: list[int | None] = [None] * n_vms
     for v in range(n_vms):
-        chosen = [
-            h
-            for h in range(n_hosts)
-            if _as_int(f"alloc_v{v}_h{h}", values.get(f"alloc_v{v}_h{h}", 0.0)) == 1
-        ]
+        chosen = [h for h, value in sorted(entries[v]) if _as_int(f"alloc_v{v}_h{h}", value) == 1]
         if len(chosen) != 1:
             raise SolutionError(f"assign_v{v} violated: vm {v} allocated to {chosen}")
         assignment[v] = chosen[0]
@@ -446,13 +459,40 @@ _LEXEMES = re.compile(rf"[+-]|{_NUMBER}|{_NAME}|\S").findall
 _FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
 _SENSES = {sense: sense for sense in _FLIPPED}  # one string object per sense
 _INF = math.inf
+_CHUNK = 1 << 16  # characters of LP text split into lines at a time
 
 
-def _linear(tokens: list[str], columns: dict[str, str], spaced: bool = False) -> dict[str, float]:
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text.splitlines()``, split about ``_CHUNK`` characters
+    at a time.  Each piece ends just after a line feed, so it splits no
+    ``"\\r\\n"`` and holds only whole lines."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
+def _number(numbers: dict[str | float, float], tok: str) -> float:
+    """``float(tok)``, one float object per distinct ``tok`` in ``numbers``."""
+    value = numbers.get(tok)
+    if value is None:
+        value = numbers[tok] = float(tok)
+    return value
+
+
+def _linear(
+    tokens: list[str],
+    columns: dict[str, str],
+    numbers: dict[str | float, float],
+    spaced: bool = False,
+) -> dict[str, float]:
     """The terms ``[sign] [coefficient] name`` of a linear expression given
     as its whitespace-separated tokens, summed per variable in order of
     appearance.  Each variable is noted in ``columns``, which maps a name
-    to the one string object the model keeps for it.
+    to the one string object the model keeps for it.  ``numbers`` maps each
+    coefficient token, and the float of each negated coefficient, to the
+    one float object the model keeps for it.
 
     A token that glues a sign, a coefficient and a variable together
     (``-2x``) sends the whole expression through the lexer once, which
@@ -469,19 +509,23 @@ def _linear(tokens: list[str], columns: dict[str, str], spaced: bool = False) ->
                 if tok == "+" or tok == "-":
                     sign = tok
                 else:
-                    coef = float(tok)
+                    coef = _number(numbers, tok)
                     if coef == _INF:  # unsigned digits overflow to +inf only
                         raise LpFormatError("non-finite coefficient")
                 continue
             if not _IS_NAME(tok):
                 if spaced:
                     raise LpFormatError(f"unexpected text {tok!r}")
-                return _linear(_LEXEMES(" ".join(tokens)), columns, spaced=True)
+                return _linear(_LEXEMES(" ".join(tokens)), columns, numbers, spaced=True)
         tok = columns.setdefault(tok, tok)
         if coef is None:
             value = -1.0 if sign == "-" else 1.0
+        elif sign == "-":
+            value = numbers.get(coef)
+            if value is None:
+                value = numbers[coef] = 0.0 - coef
         else:
-            value = 0.0 - coef if sign == "-" else coef
+            value = coef
         if tok in terms:
             terms[tok] = _finite(terms[tok] + value, "coefficient")
         else:
@@ -544,9 +588,10 @@ def parse_lp(text: str) -> LpModel:
     model = LpModel()
     rows = model.rows
     columns: dict[str, str] = {}  # insertion order is the column order
+    numbers: dict[str | float, float] = {}  # one float per number token
     section = None
     try:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(_lines(text), start=1):
             line = raw.split("\\", 1)[0] if "\\" in raw else raw
             tokens = line.split()
             if not tokens:
@@ -574,14 +619,15 @@ def parse_lp(text: str) -> LpModel:
                     if match is None:
                         raise LpFormatError("constraint without a sense")
                     lhs, sense, rhs = body[: match.start()].split(), match.group(), body[match.end() :]
-                rhs = float(rhs)
+                rhs = _number(numbers, rhs)
                 if not -_INF < rhs < _INF:
                     raise LpFormatError("non-finite right-hand side")
-                rows.append((name.strip(), _linear(lhs, columns), _SENSES[sense], rhs))
+                rows.append((name.strip(), _linear(lhs, columns, numbers), _SENSES[sense], rhs))
             elif section == "objective":
                 _, colon, body = line.partition(":")
                 objective = model.objective
-                for name, coef in _linear((body if colon else line).split(), columns).items():
+                terms = _linear((body if colon else line).split(), columns, numbers)
+                for name, coef in terms.items():
                     if name in objective:
                         objective[name] = _finite(objective[name] + coef, "coefficient")
                     else:

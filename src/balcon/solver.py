@@ -243,27 +243,33 @@ def choose_host_lopsided(
 
     # One pass over the loaded candidates: extremal tests for v's angle and
     # the min/max-angle hosts (ties to the lower id via the ascending scan;
-    # min_h is -1 until a loaded candidate is seen).
+    # min_h is -1 until a loaded candidate is seen).  A host below the
+    # minimum angle is below the maximum too, so it moves one of them at most.
     v_ge_all = v_le_all = True
     min_h = max_h = -1
     min_lc = min_lm = max_lc = max_lm = 0
     for h in allowed:
-        lc, lm = load_c[h], load_m[h]
+        lc = load_c[h]
+        lm = load_m[h]
         if lc == 0 and lm == 0:
             continue
         side = vc * lm - lc * vm
         if side < 0:
             v_ge_all = False
-        if side > 0:
+        elif side > 0:
             v_le_all = False
         if min_h < 0:
             min_h = max_h = h
-            min_lc, min_lm, max_lc, max_lm = lc, lm, lc, lm
-            continue
-        if lc * min_lm < min_lc * lm:
-            min_h, min_lc, min_lm = h, lc, lm
-        if lc * max_lm > max_lc * lm:
-            max_h, max_lc, max_lm = h, lc, lm
+            min_lc = max_lc = lc
+            min_lm = max_lm = lm
+        elif lc * min_lm < min_lc * lm:
+            min_h = h
+            min_lc = lc
+            min_lm = lm
+        elif lc * max_lm > max_lc * lm:
+            max_h = h
+            max_lc = lc
+            max_lm = lm
 
     if min_h >= 0 and (v_ge_all or v_le_all):
         choice, lc, lm = (min_h, min_lc, min_lm) if v_ge_all else (max_h, max_lc, max_lm)

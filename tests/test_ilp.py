@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,9 @@ from balcon import (
     objective,
     read_solution,
 )
+from balcon import ilp
 from balcon.cli import main as cli_main
+from balcon.datagen import GenConfig, generate_instance
 from balcon.ilp import EmitCounts, LpFormatError, initial_flavor_counts, parse_lp, solve
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -147,6 +150,106 @@ class TestParseLp:
         )
         assert model.lower == {"x": -math.inf, "y": -math.inf, "z": -math.inf}
         assert model.upper == {"y": math.inf}
+
+
+# every line boundary str.splitlines honours
+SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _walk_lines() -> list[str]:
+    """An LP model about 2.4 pieces of ``ilp._CHUNK`` characters long, as lines."""
+    rows = [f" c{i}: x{i % 7} + {i % 5 + 2} y{i % 3} - z >= {i % 11}" for i in range(ilp._CHUNK // 11)]
+    return ["Minimize", " obj: x0 + y0 + z", "Subject To", *rows, "End"]
+
+
+def _separated(lines: list[str], sep: str, at: int) -> str:
+    """``lines`` joined by line feeds, except that ``sep`` follows the last
+    line ending at or before index ``at``, padded with spaces so that
+    ``sep`` starts at ``at``."""
+    pos = j = 0
+    while pos + len(lines[j]) + 1 + len(lines[j + 1]) <= at:
+        pos += len(lines[j]) + 1
+        j += 1
+    padded = lines[j] + " " * (at - pos - len(lines[j]))
+    return "\n".join([*lines[:j], padded]) + sep + "\n".join(lines[j + 1 :]) + "\n"
+
+
+class TestLineWalk:
+    """``parse_lp`` splits its text into lines about ``ilp._CHUNK`` characters
+    at a time; the lines and their numbers must be those of
+    ``text.splitlines()`` wherever a separator falls against a piece's end."""
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("sep", SEPARATORS, ids=repr)
+    def test_separator_at_a_piece_end(self, sep, offset):
+        lines = _walk_lines()
+        text = _separated(lines, sep, ilp._CHUNK + offset)
+        assert len(text) > 2 * ilp._CHUNK and text.index(sep, ilp._CHUNK - 1) == ilp._CHUNK + offset
+        assert parse_lp(text) == parse_lp("\n".join(text.splitlines()))
+
+        bad = " bad: x0 + y0"
+        lines[-2] = bad  # the last row, in the third piece
+        text = _separated(lines, sep, ilp._CHUNK + offset)
+        lineno = text.splitlines().index(bad) + 1
+        assert text.index(bad) > 2 * ilp._CHUNK
+        with pytest.raises(LpFormatError, match=f"^line {lineno}: constraint without a sense: "):
+            parse_lp(text)
+
+
+class _CountingSink:
+    """An output that keeps nothing but the number of characters written."""
+
+    chars = 0
+
+    def write(self, text: str) -> None:
+        self.chars += len(text)
+
+
+def _traced(call):
+    """``call()``'s result, with the traced peak above the memory in use
+    before the call and the memory in use after it, in bytes."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak - base, current - base
+
+
+@pytest.fixture(scope="module")
+def sixty_hosts() -> Instance:
+    return generate_instance(GenConfig(seed=1, num_hosts=60))  # 162 VMs, 30 flavors
+
+
+class TestMemory:
+    """Traced memory of the LP text path on a default 60-host instance at
+    mph 10: emitters write row by row and ``parse_lp`` keeps no list of lines."""
+
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda kind: kind.value)
+    def test_emission_peak_is_below_the_text(self, sixty_hosts, kind):
+        """Emitting into a sink that keeps nothing peaks below the number of
+        characters written.  Measured (Python 3.11): 0.65x for alloc, 0.71x
+        for flow and 0.80x for flowlb, mostly the table of variable names.
+        Emitters that held every row and joined them read 4.79x, 6.24x and
+        5.83x."""
+        sink = _CountingSink()
+        _, peak, _ = _traced(lambda: emit_model(kind, sixty_hosts, W10, sink))
+        assert peak < sink.chars
+
+    def test_parse_transient_is_below_the_text(self, sixty_hosts):
+        """``parse_lp``'s transient on the allocation text, its traced peak
+        minus what the returned model holds, stays below the text's length.
+        Measured (Python 3.11): 0.52x; a parser that held the list of every
+        line read 2.24x."""
+        text, _ = emit_text(ModelKind.ALLOCATION, sixty_hosts, W10)
+        _, peak, held = _traced(lambda: parse_lp(text))
+        assert peak - held < len(text)
 
 
 class TestSolveLpCommand:
@@ -340,6 +443,30 @@ class TestReadSolution:
         with pytest.raises(SolutionError, match="^mem_h0 violated: load 7 > 6$"):
             read_solution(ModelKind.ALLOCATION, fig2, "\n".join(lines), W10)
 
+
+    def test_assignment_checked_before_the_next_vm(self, fig2):
+        dump = "alloc_v1_h0 0.5\nalloc_v1_h1 1"
+        with pytest.raises(SolutionError, match=r"^assign_v0 violated: vm 0 allocated to \[\]$"):
+            read_solution(ModelKind.ALLOCATION, fig2, dump, W10)
+
+    def test_non_canonical_alloc_names_ignored(self, fig2):
+        mu0 = fig2.initial_mapping()
+        lines = [f"alloc_v{v}_h{mu0.host_of(v)} 1" for v in range(5)]
+        lines += [f"active_h{h} 1" for h in range(3)]
+        odd = ["alloc_v01_h0", "alloc_v0_h01", "alloc_v0_h99", "alloc_v-1_h0", "alloc_v5_h0", "alloc_v0_h0x"]
+        lines += [f"{name} 0.5" for name in odd]
+        report = read_solution(ModelKind.ALLOCATION, fig2, "\n".join(lines), W10)
+        assert report.mapping.assignment == mu0.assignment
+        assert report.objective == 30
+        assert all(report.variables[name] == 0.5 for name in odd)
+
+    def test_alloc_value_two_is_not_chosen(self, fig2):
+        mu0 = fig2.initial_mapping()
+        lines = [f"alloc_v{v}_h{mu0.host_of(v)} 1" for v in range(5)]
+        lines += [f"active_h{h} 1" for h in range(3)]
+        lines += ["alloc_v0_h1 2"]
+        report = read_solution(ModelKind.ALLOCATION, fig2, "\n".join(lines), W10)
+        assert report.mapping.assignment == mu0.assignment
 
 @needs_solver
 class TestSolverChain:
