@@ -10,9 +10,10 @@
 * ``emit``: for every model kind at mph 0, 10 and inf, on ``fig2``, the first
   10 tiny-corpus instances and default lopsided and uniform instances of 20
   and 60 hosts (each at the first seed from 1 that generates): the sha256 and
-  counts of the ``emit_model`` text, and the sha256 of the model ``parse_lp``
-  builds from that text, dumped as in ``parse``.  The 60-host texts run to
-  hundreds of kilobytes each.
+  counts of the ``emit_model`` text, the sha256 of the model ``parse_lp``
+  builds from that text, dumped as in ``parse``, and the sha256 of that
+  model's ``solver_input``, which no change of the text's layout may alter.
+  The 60-host texts run to hundreds of kilobytes each.
 
 Record the data again with::
 
@@ -30,7 +31,7 @@ import pytest
 
 from balcon import ModelKind, ObjectiveWeights, emit_model
 from balcon.datagen import GenConfig, GenerationError, generate_instance
-from balcon.ilp import parse_lp
+from balcon.ilp import parse_lp, solve
 
 from conftest import make_fig2, tiny_instances
 
@@ -207,6 +208,37 @@ def model_record(m) -> dict:
     }
 
 
+def solver_input(m) -> dict:
+    """What ``ilp.solve`` hands to HiGHS for ``m``, in column order and free
+    of how the text laid the model out: the objective vector, each row as
+    ``[[column, coefficient], ...]`` with its lower and upper limit, and each
+    column's lower and upper bound (``[0, inf)`` by default, ``[0, 1]`` for a
+    binary, then the ``Bounds`` entries) and integrality."""
+    order = list(m.order)
+    index = {name: i for i, name in enumerate(order)}
+    rows = []
+    for _, terms, sense, rhs in m.rows:
+        lo = -math.inf if sense == "<=" else rhs
+        hi = math.inf if sense == ">=" else rhs
+        rows.append([[[index[n], c] for n, c in terms.items()], lo, hi])
+    columns = []
+    for name in order:
+        lo, hi = (0.0, 1.0) if name in m.binary else (0.0, math.inf)
+        integral = name in m.integer or name in m.binary
+        columns.append([m.lower.get(name, lo), m.upper.get(name, hi), int(integral)])
+    objective = [m.objective.get(name, 0.0) for name in order]
+    return {
+        "columns": order,
+        "objective": [-c for c in objective] if m.maximize else objective,
+        "rows": rows,
+        "bounds": columns,
+    }
+
+
+def _sha(record) -> str:
+    return hashlib.sha256(json.dumps(record).encode()).hexdigest()
+
+
 def _first_generated(num_hosts: int, mode: str):
     seed = 1
     while True:
@@ -234,9 +266,10 @@ def emit_record(kind, inst, weights) -> list:
     buf = io.StringIO()
     counts = emit_model(kind, inst, weights, buf)
     text = buf.getvalue()
+    model = parse_lp(text)
+    assert (len(model.order), len(model.rows)) == (counts.variables, counts.constraints)
     digest = hashlib.sha256(text.encode()).hexdigest()
-    parsed = hashlib.sha256(json.dumps(model_record(parse_lp(text))).encode()).hexdigest()
-    return [digest, counts.variables, counts.constraints, parsed]
+    return [digest, counts.variables, counts.constraints, _sha(model_record(model)), _sha(solver_input(model))]
 
 
 @pytest.fixture(scope="module")
@@ -260,6 +293,48 @@ def test_emitted_text_matches_golden(golden):
     assert len(runs) == len(golden["emit"]) == 135
     for label, kind, inst, weights in runs:
         assert emit_record(kind, inst, weights) == golden["emit"][label], label
+
+
+class _Captured(Exception):
+    """Raised by a stand-in for ``milp`` once it has seen its arguments."""
+
+
+def test_solver_input_is_what_solve_passes():
+    """``solver_input`` mirrors ``solve``: on every ``parse`` case, the
+    arrays ``solve`` hands to ``scipy.optimize.milp`` equal it."""
+    optimize = pytest.importorskip("scipy.optimize")
+    texts = {**PARSE_CASES, **_emitted_cases()}
+    for name, text in texts.items():
+        model = parse_lp(text)
+        seen = {}
+
+        def recording_milp(**kwargs):
+            seen.update(kwargs)
+            raise _Captured
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimize, "milp", recording_milp)
+            with pytest.raises(_Captured):
+                solve(model)
+        want = solver_input(model)
+        matrix = seen["constraints"].A.tocsr()
+        rows = [
+            [[[int(j), float(c)] for j, c in zip(matrix.indices[a:b], matrix.data[a:b])], lo, hi]
+            for a, b, lo, hi in zip(
+                matrix.indptr, matrix.indptr[1:], seen["constraints"].lb, seen["constraints"].ub
+            )
+        ]
+        bounds = seen["bounds"]
+        got = {
+            "columns": list(model.order),
+            "objective": seen["c"].tolist(),
+            "rows": [[terms, float(lo), float(hi)] for terms, lo, hi in rows],
+            "bounds": [
+                [float(lo), float(hi), int(i)]
+                for lo, hi, i in zip(bounds.lb, bounds.ub, seen["integrality"])
+            ],
+        }
+        assert got == want, name
 
 
 def record() -> None:
