@@ -12,6 +12,13 @@ Three formulations are emitted for external MILP solvers:
 * Relaxed flavor flow: the same rows with in/out continuous; its optimum is a
   lower bound on the other two.
 
+Declarations take one line per group of names: the allocation ``Binary``
+section has one line of ``alloc_v{i}_h*`` per VM, then one of ``active_h*``
+and one of ``migr_v*``; the flow ``General`` section has one line per
+flavor for ``in`` and then for ``out``.  No ``Bounds`` section is written:
+LP readers, ``parse_lp`` and ``solve`` included, bound every variable,
+general integers too, to ``[0, inf)`` by default.
+
 ``parse_lp`` reads LP text in the subset written here back into an
 ``LpModel`` (rows as ``{variable: coefficient}`` dicts), and ``solve`` hands
 that model to HiGHS through ``scipy.optimize.milp`` with a sparse constraint
@@ -144,17 +151,17 @@ def _objective(
     write("\nSubject To\n")
 
 
-def _section(out: TextIO, header: str, lines: Iterable[str]) -> int:
-    """Write ``header`` and then each of ``lines`` indented by one space, or
-    nothing when ``lines`` is empty; return how many lines were written."""
+def _declare(out: TextIO, header: str, groups: Iterable[list[str]]) -> None:
+    """Write ``header`` and then one line per nonempty group of ``groups``,
+    its names separated by spaces, or nothing when every group is empty."""
     write = out.write
-    n = 0
-    for line in lines:
-        if not n:
-            write(f"{header}\n")
-        write(f" {line}\n")
-        n += 1
-    return n
+    started = False
+    for names in groups:
+        if names:
+            if not started:
+                write(f"{header}\n")
+                started = True
+            write(f" {' '.join(names)}\n")
 
 
 def _migration_weight(weights: ObjectiveWeights):
@@ -196,9 +203,9 @@ def emit_allocation_model(inst: Instance, weights: ObjectiveWeights, out: TextIO
         write(f" migr_v{v}: {migr[v]} + {alloc[v][inst._initial[v]]} = 1\n")
         rows += 1
 
-    variables = _section(out, "Binary", chain(chain.from_iterable(alloc), active, migr))
+    _declare(out, "Binary", [*alloc, active, migr])
     write("End\n")
-    return EmitCounts(variables, rows)
+    return EmitCounts(n_vms * n_hosts + n_hosts + n_vms, rows)
 
 
 def emit_flavor_flow_model(
@@ -243,13 +250,12 @@ def emit_flavor_flow_model(
             write(f" {resource}_h{h}: {''.join(_expr(terms))} <= {_fmt_num(rhs)}\n")
             rows += 1
 
-    flow_names = [name for table in (inflow, outflow) for row in table for name in row]
-    n_flows = _section(out, "Bounds", (f"{name} >= 0" for name in flow_names))
+    # the flows keep the default bounds [0, inf), so no Bounds section
     if not relaxed:
-        _section(out, "General", flow_names)
-    _section(out, "Binary", active)
+        _declare(out, "General", [*inflow, *outflow])
+    _declare(out, "Binary", [active])
     write("End\n")
-    return EmitCounts(n_flows + n_hosts, rows)
+    return EmitCounts(2 * n_flavors * n_hosts + n_hosts, rows)
 
 
 def emit_model(kind: ModelKind, inst: Instance, weights: ObjectiveWeights, out: TextIO) -> EmitCounts:
@@ -550,16 +556,24 @@ def _bound_value(text: str) -> float:
     return value
 
 
+def _name(tok: str) -> str:
+    """``tok``, when it is a variable name; an ASCII identifier is one."""
+    if tok.isidentifier() or _IS_NAME(tok):
+        return tok
+    raise LpFormatError(f"not a variable name: {tok!r}")
+
+
 def _bound(model: LpModel, tokens: list[str]) -> str:
     """Apply one bounds line (``x free``, ``x >= l``, ``u >= x``, ``l <= x <= u``
     and the like); return the variable it names."""
     if len(tokens) == 2 and tokens[1].lower() == "free":
-        model.lower[tokens[0]] = -math.inf
-        return tokens[0]
+        name = _name(tokens[0])
+        model.lower[name] = -math.inf
+        return name
     if len(tokens) == 3 and tokens[1] in _FLIPPED:
         name, sense, value = tokens
         if not _IS_NAME(name):
-            value, sense, name = name, _FLIPPED[sense], value
+            value, sense, name = name, _FLIPPED[sense], _name(value)
         if sense != "<=":
             model.lower[name] = _bound_value(value)
         if sense != ">=":
@@ -567,6 +581,7 @@ def _bound(model: LpModel, tokens: list[str]) -> str:
         return name
     if len(tokens) == 5 and tokens[1] == tokens[3] == "<=":
         lo, _, name, _, hi = tokens
+        name = _name(name)
         model.lower[name] = _bound_value(lo)
         model.upper[name] = _bound_value(hi)
         return name
@@ -582,8 +597,8 @@ def parse_lp(text: str) -> LpModel:
 
     Raises ``LpFormatError`` naming the line number and its text for a row
     without a sense, a bad number or expression, a non-finite coefficient or
-    right-hand side, a NaN bound, or an unsupported bounds line.  Infinite
-    bounds are legal.
+    right-hand side, a NaN bound, an unsupported bounds line, or a declared
+    or bounded token that is not a variable name.  Infinite bounds are legal.
     """
     model = LpModel()
     rows = model.rows
@@ -638,7 +653,7 @@ def parse_lp(text: str) -> LpModel:
             elif section is not None:
                 names = model.integer if section == "general" else model.binary
                 for name in tokens:
-                    names.add(columns.setdefault(name, name))
+                    names.add(columns.setdefault(_name(name), name))
     except ValueError as exc:
         raise LpFormatError(f"line {lineno}: {exc}: {raw.strip()!r}") from exc
     model.order = list(columns)
@@ -657,8 +672,11 @@ def solve(model: LpModel):
     The constraint matrix is a ``scipy.sparse.csr_array`` with one stored
     entry per parsed term.  Returns ``(names, result)``: the column names in
     ``model.order`` and scipy's ``OptimizeResult``.  Raises ``ImportError``
-    when scipy with MILP support is missing.
+    when scipy with MILP support is missing, and ``ValueError`` for a model
+    with no variables.
     """
+    if not model.order:
+        raise ValueError("model has no variables")
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_array

@@ -8,6 +8,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from balcon import (
     Flavor,
@@ -108,6 +109,10 @@ BAD_LP = {
     "infinite rhs": ("Minimize\n obj: x\nSubject To\n c1: x >= inf\nEnd\n", 4, "c1: x >= inf"),
     "infinite objective term": ("Minimize\n obj: 1e999 x\nSubject To\n c1: x >= 1\nEnd\n", 2, "obj: 1e999 x"),
     "nan bound": ("Minimize\n obj: x\nSubject To\n c1: x >= 1\nBounds\n x <= nan\nEnd\n", 6, "x <= nan"),
+    "binary non-names": ("Minimize\n obj: x\nSubject To\n c1: x >= 1\nBinary\n 2.5 x+y <=\nEnd\n", 6, "2.5 x+y <="),
+    "general name with colon": ("Minimize\n obj: x\nSubject To\n c1: x >= 1\nGeneral\n x:\nEnd\n", 6, "x:"),
+    "bounded number": ("Minimize\n obj: x\nSubject To\n c1: x >= 1\nBounds\n 0 <= 1 <= 2\nEnd\n", 6, "0 <= 1 <= 2"),
+    "number bounds number": ("Minimize\n obj: x\nSubject To\n c1: x >= 1\nBounds\n 3 >= 4\nEnd\n", 6, "3 >= 4"),
 }
 
 
@@ -143,6 +148,13 @@ class TestParseLp:
         assert result.success
         assert dict(zip(names, result.x.tolist())) == {"x": 3.0, "y": 2.0}
 
+    @pytest.mark.parametrize("text", ["", "Minimize\nEnd\n"])
+    def test_solve_rejects_a_model_without_variables(self, text, monkeypatch):
+        # raised before scipy is needed
+        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+        with pytest.raises(ValueError, match="^model has no variables$"):
+            solve(parse_lp(text))
+
     def test_free_and_infinite_bounds_stay_legal(self):
         model = parse_lp(
             "Minimize\n obj: x + y + z\nSubject To\n c1: x + y + z >= 1\n"
@@ -154,6 +166,55 @@ class TestParseLp:
 
 # every line boundary str.splitlines honours
 SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _lp_line(parts: list[tuple[str, str]]) -> str:
+    return "".join(token + glue for token, glue in parts)
+
+
+_HEADERS = ["Minimize", "MAXIMIZE", "Subject To", "st", "s.t.", "Bounds", "General", "Gen", "Binaries", "Bin", "End"]
+_NAMES = st.one_of(st.sampled_from(["x", "y", "x.1", "_a"]), st.from_regex(r"[A-Za-z_][A-Za-z0-9_.]{0,5}", fullmatch=True))
+_NUMBERS = st.one_of(
+    st.integers(-(10**20), 10**20).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["1e999", "1e-06", "2.5E+3", ".5", "1.", "inf", "-inf", "nan", "1_0"]),
+)
+_OTHER = st.sampled_from(["+", "-", "<=", ">=", "=", "<", ">", ":", "\\", "\\ note", "*", "free", "FREE", "\u2265"])
+_TOKENS = st.one_of(_NAMES, _NAMES.map(lambda name: name + ":"), _NUMBERS, _OTHER)
+_LINES = st.one_of(
+    st.sampled_from(_HEADERS),
+    st.lists(st.tuples(_TOKENS, st.sampled_from([" ", "", "  "])), max_size=8).map(_lp_line),
+)
+LP_TEXTS = st.lists(st.tuples(_LINES, st.sampled_from(SEPARATORS)), max_size=12).map(_lp_line)
+
+
+def _parses_or_is_rejected(text: str) -> None:
+    """``parse_lp`` ends in a model whose every variable is a name listed in
+    ``order``, or in ``LpFormatError``; never in any other exception."""
+    try:
+        model = parse_lp(text)
+    except LpFormatError:
+        return
+    assert all(ilp._IS_NAME(name) for name in model.order)
+    assert len(set(model.order)) == len(model.order)
+    listed = set(model.order)
+    for names in (model.binary, model.integer, model.lower, model.upper, model.objective):
+        assert listed.issuperset(names)
+    for _, terms, _, _ in model.rows:
+        assert listed.issuperset(terms)
+
+
+class TestParseFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(LP_TEXTS)
+    def test_model_or_format_error(self, text):
+        _parses_or_is_rejected(text)
+
+    @pytest.mark.slow
+    @settings(max_examples=5_000, deadline=None)
+    @given(LP_TEXTS)
+    def test_model_or_format_error_at_length(self, text):
+        _parses_or_is_rejected(text)
 
 
 def _walk_lines() -> list[str]:
@@ -266,6 +327,13 @@ class TestSolveLpCommand:
         assert f"line {lineno}" in err and line in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text", ["", "Minimize\nEnd\n"])
+    def test_model_without_variables_exits_2(self, text, tmp_path, capsys):
+        path = tmp_path / "empty.lp"
+        path.write_text(text)
+        assert cli_main(["solve-lp", str(path)]) == 2
+        assert capsys.readouterr().err == "error: model has no variables\n"
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert cli_main(["solve-lp", str(tmp_path / "absent.lp")]) == 2
         assert "absent.lp" in capsys.readouterr().err
@@ -304,7 +372,29 @@ class TestSolveLpCommand:
         assert out.read_bytes() == printed.encode()
 
 
+def _longest_row_and_declaration(text: str) -> tuple[int, int]:
+    """The length of the longest ``Subject To`` row and of the longest line
+    of the ``Bounds``, ``General`` and ``Binary`` sections of an emitted text."""
+    section, row, declaration = None, 0, 0
+    for line in text.splitlines():
+        if not line.startswith(" "):
+            section = line
+        elif section == "Subject To":
+            row = max(row, len(line))
+        elif section in ("Bounds", "General", "Binary"):
+            declaration = max(declaration, len(line))
+    return row, declaration
+
+
 class TestEmission:
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda kind: kind.value)
+    def test_no_declaration_line_outgrows_the_rows(self, fig2, tiny_corpus, kind):
+        """A declaration line holds several names, but never more text than
+        the longest constraint row of the same model."""
+        for inst in [fig2, *tiny_corpus]:
+            row, declaration = _longest_row_and_declaration(emit_text(kind, inst, W10)[0])
+            assert 0 < declaration <= row
+
     def test_deterministic_output(self, fig2):
         for kind in ModelKind:
             a, _ = emit_text(kind, fig2, W10)
