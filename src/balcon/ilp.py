@@ -282,9 +282,12 @@ def _parse_variable_dump(text: str) -> dict[str, float]:
         if len(parts) != 2:
             raise SolutionError(f"line {lineno}: expected 'name value', got {raw!r}")
         try:
-            values[parts[0]] = float(parts[1])
+            value = float(parts[1])
         except ValueError as exc:
             raise SolutionError(f"line {lineno}: bad value {parts[1]!r}") from exc
+        if not math.isfinite(value):
+            raise SolutionError(f"line {lineno}: non-finite value {parts[1]!r}")
+        values[parts[0]] = value
     return values
 
 
@@ -460,6 +463,8 @@ _SENSE = re.compile(r"<=|>=|=")
 _NUMBER = r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
 _NAME = r"[A-Za-z_][A-Za-z0-9_.]*"
 _IS_NUMBER = re.compile(_NUMBER).fullmatch
+_IS_SIGNED_NUMBER = re.compile(rf"\s*[+-]?{_NUMBER}\s*").fullmatch
+_IS_BOUND = re.compile(rf"[+-]?(?:{_NUMBER}|inf|infinity)", re.IGNORECASE).fullmatch
 _IS_NAME = re.compile(_NAME).fullmatch
 _LEXEMES = re.compile(rf"[+-]|{_NUMBER}|{_NAME}|\S").findall
 _FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
@@ -480,9 +485,12 @@ def _lines(text: str) -> Iterator[str]:
 
 
 def _number(numbers: dict[str | float, float], tok: str) -> float:
-    """``float(tok)``, one float object per distinct ``tok`` in ``numbers``."""
+    """``float(tok)`` of a signed number, one float object per distinct
+    ``tok`` in ``numbers``."""
     value = numbers.get(tok)
     if value is None:
+        if not _IS_SIGNED_NUMBER(tok):
+            raise LpFormatError(f"bad number {tok!r}")
         value = numbers[tok] = float(tok)
     return value
 
@@ -549,11 +557,10 @@ def _finite(value: float, what: str) -> float:
 
 
 def _bound_value(text: str) -> float:
-    # an infinite bound is legal, an undefined one is not
-    value = float(text)
-    if math.isnan(value):
-        raise LpFormatError("NaN bound")
-    return value
+    # a signed number or an infinite bound, which is legal
+    if _IS_BOUND(text):
+        return float(text)
+    raise LpFormatError(f"bad bound {text!r}")
 
 
 def _name(tok: str) -> str:
@@ -596,14 +603,19 @@ def parse_lp(text: str) -> LpModel:
     after ``End`` is ignored.
 
     Raises ``LpFormatError`` naming the line number and its text for a row
-    without a sense, a bad number or expression, a non-finite coefficient or
-    right-hand side, a NaN bound, an unsupported bounds line, or a declared
-    or bounded token that is not a variable name.  Infinite bounds are legal.
+    without a sense, a row label that is not a name or repeats one (an
+    unnamed row is named ``row{n}``, n its index), a bad number or
+    expression, a non-finite coefficient or right-hand side, a bound that is
+    neither a number nor infinite, an unsupported bounds line, or a declared
+    or bounded token that is not a variable name.  A right-hand side or
+    bound is a number as the lexer reads a coefficient, with an optional
+    sign (so ``1_0`` is none); a bound may also be infinite.
     """
     model = LpModel()
     rows = model.rows
     columns: dict[str, str] = {}  # insertion order is the column order
     numbers: dict[str | float, float] = {}  # one float per number token
+    row_names: dict[str, None] = {}  # a set of the names, at half a set's size
     section = None
     try:
         for lineno, raw in enumerate(_lines(text), start=1):
@@ -628,16 +640,23 @@ def parse_lp(text: str) -> LpModel:
                     name, lhs, sense, rhs = head[:-1], tokens[1:-2], tokens[-2], tokens[-1]
                 else:
                     name, colon, body = line.partition(":")
-                    if not colon:
+                    if colon:
+                        name = name.strip()
+                    else:
                         name, body = f"row{len(rows)}", line
                     match = _SENSE.search(body)
                     if match is None:
                         raise LpFormatError("constraint without a sense")
                     lhs, sense, rhs = body[: match.start()].split(), match.group(), body[match.end() :]
+                if name in row_names:
+                    raise LpFormatError(f"repeated row name {name!r}")
+                if not name.isidentifier() and not _IS_NAME(name):
+                    raise LpFormatError(f"not a row name: {name!r}")
+                row_names[name] = None
                 rhs = _number(numbers, rhs)
                 if not -_INF < rhs < _INF:
                     raise LpFormatError("non-finite right-hand side")
-                rows.append((name.strip(), _linear(lhs, columns, numbers), _SENSES[sense], rhs))
+                rows.append((name, _linear(lhs, columns, numbers), _SENSES[sense], rhs))
             elif section == "objective":
                 _, colon, body = line.partition(":")
                 objective = model.objective

@@ -605,14 +605,10 @@ class ReleaseEngine:
         self.best_mig = 0
         self.force_steps = 0
         self.attempts: list[ReleaseAttempt] = []
-        # state of the lower bound: fixed demand and L1, running capacity
-        # of the active hosts and memory that left released hosts
+        # state of the lower bound: fixed demand, running capacity of the
+        # active hosts and memory that left released hosts
         cap_c, cap_m, vm_mem = inst._cap_cpu, inst._cap_mem, inst._vm_mem
         self.demand_c, self.demand_m = sum(inst._vm_cpu), sum(vm_mem)
-        l1 = 0
-        if cap_c:
-            l1 = max(-(-self.demand_c // max(cap_c)), -(-self.demand_m // max(cap_m)))
-        self.floor_active = weights.w_a * l1
         self.init_mem = [0] * len(cap_c)
         for v, g in enumerate(inst._initial):
             self.init_mem[g] += vm_mem[v]
@@ -826,32 +822,31 @@ class ReleaseEngine:
 
     def lower_bound(self, h: int) -> object:
         """A lower bound on the objective of any mapping that releasing the
-        non-empty host h can accept; ``inf`` when none is feasible.
+        non-empty host h can accept: ``inf`` when the capacities of the
+        active hosts A less h, where the attempt places VMs, cannot cover
+        the total demand D in either resource (``cap_active - cap[h] <
+        D``), else w_a * (|A| - 1) + w_m * (lost_mem + init_mem[h]).
 
-        Let A be the active hosts of the current mapping other than h.  The
-        attempt places VMs on A only, and no VM stays on h or on an inactive
-        host, so a candidate puts every VM on A:
+        - Sound by the engine's invariant.  Placements go only to active
+          hosts and a Force Step leaves its destination non-empty, so an
+          accepted release of h leaves exactly |A| - 1 active hosts (as
+          ``_judge`` counts them), none becomes active, and every VM whose
+          initial host is h or a released host has migrated (``lost_mem``
+          sums the initial memory ``init_mem`` of the released hosts).  An
+          attempt is accepted iff its objective is at most the best one, so
+          one whose bound is above it is skipped.  With w_a = mph and w_m =
+          1 the skip reads: the memory still to migrate, ``init_mem[h] -
+          (best_mig - lost_mem)``, exceeds mph.
+        - At least the run-fixed L1 of Caprara and Toth (2001), max(ceil(D_c
+          / max cap_c), ceil(D_m / max cap_m)) hosts: when the capacity test
+          passes, (|A| - 1) * max cap >= D in each resource.
+        - Exact with a zero Force Step budget: only VMs of released hosts
+          have moved, so ``best_mig`` is ``lost_mem``, and a completed
+          attempt moves only h's VMs, none back to a released host.  So the
+          objective test then rejects nothing the bound lets through.
 
-        - it is infeasible unless the capacities of A cover the total demand
-          D in both resources (``cap_active - cap[h] >= D``);
-        - it has at least L1 = max(ceil(D_c / max cap_c), ceil(D_m / max
-          cap_m)) active hosts, since every host holds at most the largest
-          capacity (the L1 vector-packing bound of Caprara and Toth, 2001);
-        - every VM whose initial host is not in A has migrated; those hosts
-          are h, the hosts released so far (``lost_mem`` sums their initial
-          memory ``init_mem``) and hosts empty from the start (no memory).
-
-        So its objective is at least w_a * L1 + w_m * (lost_mem +
-        init_mem[h]), and as an attempt is accepted iff its objective is at
-        most the best one, a bound above the best objective cannot be
-        accepted.
-
-        The running state is exact: placements go only to active hosts, and
-        a Force Step leaves its destination non-empty, so no host other than
-        the released one empties and none becomes active.  An accepted
-        release of a non-empty host h thus shrinks the active set by exactly
-        h; ``attempt`` drops h from ``active``, subtracts h's capacities and
-        adds ``init_mem[h]``.
+        ``attempt`` keeps this state on an accepted release: it drops h
+        from ``active``, subtracts h's capacities and adds ``init_mem[h]``.
         """
         inst = self.mu.inst
         if (
@@ -859,7 +854,8 @@ class ReleaseEngine:
             or self.cap_active_m - inst._cap_mem[h] < self.demand_m
         ):
             return math.inf
-        return self.floor_active + self.weights.w_m * (self.lost_mem + self.init_mem[h])
+        w = self.weights
+        return w.w_a * (len(self.active) - 1) + w.w_m * (self.lost_mem + self.init_mem[h])
 
     def begin(self, h: int) -> tuple[int, ...]:
         """Open a release attempt of host h: unassign h's VMs and return

@@ -365,6 +365,15 @@ class TestEval:
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: line 2: bad value 'lots'\n"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_non_finite_lower_bound_dump_exits_2(self, fig2_path, tmp_path, capsys, value):
+        # every host active, so that only the value is wrong
+        dump = f"active_h0 1\nactive_h1 1\nactive_h2 1\nin_f0_h1 {value}\n"
+        (tmp_path / "fig2.flowlb.sol").write_text(dump)
+        argv = ["eval", "--lb-dir", str(tmp_path), "--out-dir", str(tmp_path / "out"), str(fig2_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: line 4: non-finite value '{value}'\n"
+
     def test_unknown_algorithm_is_usage_error(self, fig2_path, tmp_path):
         assert main(["eval", "--algos", "bogus", "--out-dir", str(tmp_path), str(fig2_path)]) == 1
 

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,8 @@ from balcon import ilp
 from balcon.cli import main as cli_main
 from balcon.datagen import GenConfig, generate_instance
 from balcon.ilp import EmitCounts, LpFormatError, initial_flavor_counts, parse_lp, solve
+
+from conftest import make_fig2
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -113,6 +116,16 @@ BAD_LP = {
     "general name with colon": ("Minimize\n obj: x\nSubject To\n c1: x >= 1\nGeneral\n x:\nEnd\n", 6, "x:"),
     "bounded number": ("Minimize\n obj: x\nSubject To\n c1: x >= 1\nBounds\n 0 <= 1 <= 2\nEnd\n", 6, "0 <= 1 <= 2"),
     "number bounds number": ("Minimize\n obj: x\nSubject To\n c1: x >= 1\nBounds\n 3 >= 4\nEnd\n", 6, "3 >= 4"),
+    "underscored rhs": ("Minimize\n obj: x\nSubject To\n c1: x >= 1_0\nEnd\n", 4, "c1: x >= 1_0"),
+    "underscored glued rhs": ("Minimize\n obj: x\nSubject To\n c1: x>=1_0\nEnd\n", 4, "c1: x>=1_0"),
+    "underscored bound": ("Minimize\n obj: x\nSubject To\n c1: x >= 1\nBounds\n x <= 2_5\nEnd\n", 6, "x <= 2_5"),
+    "underscored range bound": ("Minimize\n obj: x\nSubject To\n c1: x >= 1\nBounds\n 0_1 <= x <= 2\nEnd\n", 6, "0_1 <= x <= 2"),
+    "spaced row name": ("Minimize\n obj: x\nSubject To\n c 2: x <= 5\nEnd\n", 4, "c 2: x <= 5"),
+    "number row name": ("Minimize\n obj: x\nSubject To\n 2.5: x <= 5\nEnd\n", 4, "2.5: x <= 5"),
+    "empty row name": ("Minimize\n obj: x\nSubject To\n : x <= 5\nEnd\n", 4, ": x <= 5"),
+    "repeated row name": ("Minimize\n obj: x\nSubject To\n c1: x <= 5\n c1: x >= 1\nEnd\n", 5, "c1: x >= 1"),
+    "generated row name taken": ("Minimize\n obj: x\nSubject To\n x <= 5\n row0: x >= 1\nEnd\n", 5, "row0: x >= 1"),
+    "row name a generated one takes": ("Minimize\n obj: x\nSubject To\n row1: x <= 5\n x >= 1\nEnd\n", 5, "x >= 1"),
 }
 
 
@@ -129,6 +142,8 @@ class TestParseLp:
             ("c1: 2 3 x >= 1", "coefficient 2 without a variable"),
             ("c1: 1e308 x + 1e308 x >= 1", "non-finite coefficient"),
             ("c1: x \u2265 1", "non-ASCII text"),
+            ("c 2: x <= 5", "not a row name: 'c 2'"),
+            ("c1: x >= 1_0", "bad number '1_0'"),
         ],
     )
     def test_bad_row_is_named(self, row, message):
@@ -163,6 +178,17 @@ class TestParseLp:
         assert model.lower == {"x": -math.inf, "y": -math.inf, "z": -math.inf}
         assert model.upper == {"y": math.inf}
 
+    def test_row_names_and_signed_numbers(self):
+        model = parse_lp(
+            "Minimize\n obj: x\nSubject To\n c.1: x >= -2\n x <= +3\n row2: x>=-1e-06\n"
+            "Bounds\n -1.5 <= x <= 2E+3\n -Infinity <= y <= +INF\nEnd\n"
+        )
+        assert [(name, rhs) for name, _, _, rhs in model.rows] == [
+            ("c.1", -2.0), ("row1", 3.0), ("row2", -1e-06)
+        ]
+        assert model.lower == {"x": -1.5, "y": -math.inf}
+        assert model.upper == {"x": 2000.0, "y": math.inf}
+
 
 # every line boundary str.splitlines honours
 SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -190,7 +216,8 @@ LP_TEXTS = st.lists(st.tuples(_LINES, st.sampled_from(SEPARATORS)), max_size=12)
 
 def _parses_or_is_rejected(text: str) -> None:
     """``parse_lp`` ends in a model whose every variable is a name listed in
-    ``order``, or in ``LpFormatError``; never in any other exception."""
+    ``order`` and whose rows have distinct names, or in ``LpFormatError``;
+    never in any other exception."""
     try:
         model = parse_lp(text)
     except LpFormatError:
@@ -202,6 +229,9 @@ def _parses_or_is_rejected(text: str) -> None:
         assert listed.issuperset(names)
     for _, terms, _, _ in model.rows:
         assert listed.issuperset(terms)
+    row_names = [name for name, _, _, _ in model.rows]
+    assert all(ilp._IS_NAME(name) for name in row_names)
+    assert len(set(row_names)) == len(row_names)
 
 
 class TestParseFuzz:
@@ -488,6 +518,12 @@ class TestReadSolution:
         with pytest.raises(SolutionError, match="^line 2: bad value 'one'$"):
             read_solution(ModelKind.ALLOCATION, fig2, "active_h0 1\nalloc_v0_h0 one", W10)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "NaN"])
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_non_finite_value_rejected(self, fig2, kind, value):
+        with pytest.raises(SolutionError, match=f"^line 2: non-finite value '{value}'$"):
+            read_solution(kind, fig2, f"active_h0 1\nalloc_v0_h0 {value}\n", W10)
+
     def test_non_integral_value_rejected(self, fig2):
         with pytest.raises(SolutionError, match="^alloc_v0_h0 = 0.5 is not integral$"):
             read_solution(ModelKind.ALLOCATION, fig2, "alloc_v0_h0 0.5", W10)
@@ -557,6 +593,71 @@ class TestReadSolution:
         lines += ["alloc_v0_h1 2"]
         report = read_solution(ModelKind.ALLOCATION, fig2, "\n".join(lines), W10)
         assert report.mapping.assignment == mu0.assignment
+
+
+FIG2 = make_fig2()
+# the variables of every model emitted from fig2, and dumps each kind accepts
+_FIG2_NAMES = sorted(
+    {name for kind in ModelKind for name in parse_lp(emit_text(kind, FIG2, W10)[0]).order}
+)
+_ACTIVE = [f"active_h{h} 1" for h in range(3)]
+_VALID = {
+    ModelKind.ALLOCATION: [f"alloc_v{v}_h{h} 1" for v, h in enumerate(FIG2._initial)] + _ACTIVE,
+    ModelKind.FLAVOR_FLOW: _ACTIVE,
+    ModelKind.RELAXED_FLAVOR_FLOW: _ACTIVE,
+}
+_DUMP_NAMES = st.one_of(
+    st.sampled_from(_FIG2_NAMES),
+    st.sampled_from(["alloc_v01_h0", "alloc_v0_h99", "alloc_v99999999999999999999_h0", "in_f9_h0", "x"]),
+    st.from_regex(r"[a-z_]{1,6}[0-9]{0,2}", fullmatch=True),
+)
+_DUMP_VALUES = st.one_of(
+    st.sampled_from(["0", "1", "2", "-1", "0.5", "1e-9", "1.0000001", "1e400", "-1e400", "NaN", "-nan", "one"]),
+    st.floats().map(repr),
+    st.integers(-(10**400), 10**400).map(str),
+)
+_DUMP_LINES = st.one_of(
+    st.tuples(_DUMP_NAMES, _DUMP_VALUES).map(" ".join),
+    st.sampled_from(["", "   ", "# note", "\\ comment", "x", "x 1 2", "1"]),
+)
+SOLUTION_DUMPS = st.tuples(
+    st.sampled_from(list(ModelKind)),
+    st.booleans(),
+    st.lists(_DUMP_LINES, max_size=10),
+    st.sampled_from([W10, ObjectiveWeights.from_mph(math.inf), ObjectiveWeights.from_mph(Fraction(7, 2))]),
+)
+
+
+def _read_or_is_rejected(dump) -> None:
+    """``read_solution`` ends in a report with a finite objective, or in
+    ``SolutionError``; never in any other exception."""
+    kind, from_valid, lines, weights = dump
+    text = "\n".join((_VALID[kind] if from_valid else []) + lines)
+    try:
+        report = read_solution(kind, FIG2, text, weights)
+    except SolutionError:
+        return
+    assert math.isfinite(report.objective)
+    assert all(math.isfinite(value) for value in report.variables.values())
+
+
+class TestReadSolutionFuzz:
+    def test_valid_dumps_are_read(self):
+        for kind, lines in _VALID.items():
+            report = read_solution(kind, FIG2, "\n".join(lines), W10)
+            assert report.objective == 30
+
+    @settings(max_examples=400, deadline=None)
+    @given(SOLUTION_DUMPS)
+    def test_report_or_solution_error(self, dump):
+        _read_or_is_rejected(dump)
+
+    @pytest.mark.slow
+    @settings(max_examples=5_000, deadline=None)
+    @given(SOLUTION_DUMPS)
+    def test_report_or_solution_error_at_length(self, dump):
+        _read_or_is_rejected(dump)
+
 
 @needs_solver
 class TestSolverChain:

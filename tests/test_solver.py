@@ -599,18 +599,19 @@ class TestBalcon:
         assert sum(e["event"] == "force_step" for e in events) == 1 + 8 + 5
 
     def test_outcomes(self):
-        # Releasing host 0 fits but migrates 2 units to save 1 host's worth
-        # (mph 1): rejected by the objective.  For hosts 1 and 2 even one
-        # active host plus their 3 units exceeds the initial objective 3.
+        # Host 0's 1 memory unit is within the budget (mph 1), so its
+        # release runs; its VM fits only after a Force Step evicts VM 1 (4
+        # units) to host 2, and 5 units migrated are rejected by the
+        # objective.  Hosts 1 and 2 hold 4 units each, more than mph: skipped.
         inst = Instance(
             [Host(i, ResourceVec(10, 10)) for i in range(3)],
-            [Flavor(0, ResourceVec(1, 2)), Flavor(1, ResourceVec(1, 3))],
+            [Flavor(0, ResourceVec(6, 1)), Flavor(1, ResourceVec(5, 4))],
             [VM(0, 0), VM(1, 1), VM(2, 1)],
             [0, 1, 2],
         )
         _, report = balcon(inst, params_for(1))
-        assert [(a.host, a.outcome) for a in report.attempts] == [
-            (0, "objective_rejected"), (1, "skipped"), (2, "skipped")
+        assert [(a.host, a.outcome, a.force_steps) for a in report.attempts] == [
+            (0, "objective_rejected", 1), (1, "skipped", 0), (2, "skipped", 0)
         ]
 
     def test_report_metrics_consistent(self, fig2):
@@ -926,8 +927,52 @@ class TestLowerBound:
         assert (attempt.outcome, attempt.force_steps, attempt.class_counts) == ("skipped", 0, {})
         assert engine.mu.assignment == fig2.initial_mapping().assignment
 
+    def test_skipping_never_changes_a_placement(self, tiny_corpus, monkeypatch):
+        _check_skips_change_no_placement(tiny_corpus + _default_instances(10, 14), monkeypatch)
+
+    @pytest.mark.slow
+    def test_skipping_never_changes_a_placement_at_scale(self, monkeypatch):
+        _check_skips_change_no_placement(_default_instances(50, 100), monkeypatch)
+
+    def test_zero_budget_rejects_nothing_by_objective(self, tiny_corpus):
+        # with no Force Step the bound is the candidate objective, so the
+        # objective test never rejects an attempt the bound lets through
+        for inst in tiny_corpus + _default_instances(10, 14):
+            for mph in (0, 1, 3, 10, 30):
+                for algo in ("sercon-mod", "sercon-orig"):
+                    _, report = ALGORITHMS[algo](inst, params_for(mph))
+                    outcomes = {a.outcome for a in report.attempts}
+                    assert "objective_rejected" not in outcomes, (algo, mph)
+
 
 ALGORITHMS = {"balcon": balcon, "sercon-mod": sercon_modified, "sercon-orig": sercon_original}
+
+
+def _default_instances(*sizes: int) -> list[Instance]:
+    return [
+        generate_instance(GenConfig(seed=seed, num_hosts=n, mode=mode))
+        for n in sizes
+        for mode in ("lopsided", "uniform")
+        for seed in range(3)
+    ]
+
+
+def _check_skips_change_no_placement(instances: list[Instance], monkeypatch) -> None:
+    # every algorithm gives the same answer when no attempt is skipped
+    def answers() -> list[tuple]:
+        out = []
+        for inst in instances:
+            for mph in (0, 3, 10, math.inf):
+                for algo in ALGORITHMS.values():
+                    mu, report = algo(inst, params_for(mph))
+                    out.append(
+                        (mu.assignment, report.active_hosts, report.migrated_mem, report.objective)
+                    )
+        return out
+
+    skipping = answers()
+    monkeypatch.setattr(ReleaseEngine, "lower_bound", lambda engine, h: -math.inf)
+    assert answers() == skipping
 
 
 def _fitting(mu: Mapping, hosts, cpu: int, mem: int) -> list[int]:
