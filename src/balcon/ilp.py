@@ -20,9 +20,9 @@ LP readers, ``parse_lp`` and ``solve`` included, bound every variable,
 general integers too, to ``[0, inf)`` by default.
 
 ``parse_lp`` reads LP text in the subset written here back into an
-``LpModel`` (rows as ``{variable: coefficient}`` dicts), and ``solve`` hands
-that model to HiGHS through ``scipy.optimize.milp`` with a sparse constraint
-matrix; scipy is imported only when ``solve`` runs.
+``LpModel``, whose rows are the compressed sparse row (CSR) arrays of the
+constraint matrix, and ``solve`` hands those arrays to HiGHS through
+``scipy.optimize.milp``; scipy is imported only when ``solve`` runs.
 
 Solutions come back as plain ``name value`` lines, one variable per line.
 The objective is always recomputed from the variable values; the solver's
@@ -35,11 +35,13 @@ from __future__ import annotations
 
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
-from typing import Iterable, Iterator, TextIO
+from functools import cached_property
+from itertools import chain, compress, count
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .model import Instance, Mapping, ObjectiveWeights
 
@@ -283,10 +285,12 @@ def _parse_variable_dump(text: str) -> dict[str, float]:
             raise SolutionError(f"line {lineno}: expected 'name value', got {raw!r}")
         try:
             value = float(parts[1])
-        except ValueError as exc:
-            raise SolutionError(f"line {lineno}: bad value {parts[1]!r}") from exc
-        if not math.isfinite(value):
+        except ValueError:
+            value = None
+        if value is not None and not math.isfinite(value):
             raise SolutionError(f"line {lineno}: non-finite value {parts[1]!r}")
+        if value is None or not parts[1].isascii() or not _IS_SIGNED_NUMBER(parts[1]):
+            raise SolutionError(f"line {lineno}: bad value {parts[1]!r}")
         values[parts[0]] = value
     return values
 
@@ -320,6 +324,7 @@ def read_solution(
     out-capacity, evacuation and resource rows but not expanded to a per-VM
     mapping (the formulation is deliberately symmetric across VMs of one
     flavor).  Missing variables default to zero; each check allows ``_TOL`` of slack.
+    Values are finite numbers in ``parse_lp``'s form, ASCII digits only.
     """
     values = _parse_variable_dump(text)
     if kind is ModelKind.ALLOCATION:
@@ -428,20 +433,57 @@ class LpFormatError(ValueError):
     """LP text outside the subset ``parse_lp`` reads."""
 
 
+@dataclass(frozen=True)
+class _Rows(Sequence):
+    """The rows of ``model`` as tuples, each built when it is read."""
+
+    model: LpModel
+
+    def __len__(self) -> int:
+        return len(self.model.row_names)
+
+    def __getitem__(self, i: int) -> tuple[str, dict[str, float], str, float]:
+        m, i = self.model, range(len(self))[i]
+        start, end = m.indptr[i], m.indptr[i + 1]
+        terms = dict(zip(map(m.order.__getitem__, m.indices[start:end]), m.data[start:end]))
+        return m.row_names[i], terms, m.senses[i], m.rhs[i]
+
+
 @dataclass
 class LpModel:
-    """A model in the LP subset: each row is ``(name, {variable: coefficient},
-    sense, rhs)``, and ``order`` lists the variables by first appearance,
-    which is the column order ``solve`` uses."""
+    """A model in the LP subset; ``order`` lists the variables (the columns)
+    by first appearance.  Row ``i`` is ``row_names[i]``: the sum of
+    ``data[k] * x[indices[k]]`` over ``range(indptr[i], indptr[i + 1])``, no
+    column twice, ``senses[i]`` ``rhs[i]`` (compressed sparse rows).
+    ``integrality`` has one byte per column: bit 1 ``General``, bit 2
+    ``Binary``.  ``rows`` is a read-only view building ``(name, {variable:
+    coefficient}, sense, rhs)`` when read; ``integer`` and ``binary`` are
+    the names those bits declare."""
 
     maximize: bool = False
     objective: dict[str, float] = field(default_factory=dict)
-    rows: list[tuple[str, dict[str, float], str, float]] = field(default_factory=list)
     lower: dict[str, float] = field(default_factory=dict)
     upper: dict[str, float] = field(default_factory=dict)
-    integer: set[str] = field(default_factory=set)
-    binary: set[str] = field(default_factory=set)
     order: list[str] = field(default_factory=list)
+    row_names: list[str] = field(default_factory=list)
+    senses: list[str] = field(default_factory=list)
+    rhs: list[float] = field(default_factory=list)
+    indptr: list[int] = field(default_factory=lambda: [0])
+    indices: list[int] = field(default_factory=list)
+    data: list[float] = field(default_factory=list)
+    integrality: bytearray = field(default_factory=bytearray)
+
+    @property
+    def rows(self) -> Sequence[tuple[str, dict[str, float], str, float]]:
+        return _Rows(self)
+
+    @cached_property
+    def integer(self) -> frozenset[str]:
+        return frozenset(compress(self.order, map(_GENERAL.__and__, self.integrality)))
+
+    @cached_property
+    def binary(self) -> frozenset[str]:
+        return frozenset(compress(self.order, map(_BINARY.__and__, self.integrality)))
 
 
 _SECTIONS = {
@@ -469,8 +511,10 @@ _IS_NAME = re.compile(_NAME).fullmatch
 _LEXEMES = re.compile(rf"[+-]|{_NUMBER}|{_NAME}|\S").findall
 _FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
 _SENSES = {sense: sense for sense in _FLIPPED}  # one string object per sense
+_SIGNS = frozenset("+-")
 _INF = math.inf
 _CHUNK = 1 << 16  # characters of LP text split into lines at a time
+_GENERAL, _BINARY = 1, 2  # the bits of ``LpModel.integrality``
 
 
 def _lines(text: str) -> Iterator[str]:
@@ -497,41 +541,44 @@ def _number(numbers: dict[str | float, float], tok: str) -> float:
 
 def _linear(
     tokens: list[str],
-    columns: dict[str, str],
+    columns: dict[str, int],
     numbers: dict[str | float, float],
+    indices: list[int],
+    data: list[float],
     spaced: bool = False,
-) -> dict[str, float]:
-    """The terms ``[sign] [coefficient] name`` of a linear expression given
-    as its whitespace-separated tokens, summed per variable in order of
-    appearance.  Each variable is noted in ``columns``, which maps a name
-    to the one string object the model keeps for it.  ``numbers`` maps each
-    coefficient token, and the float of each negated coefficient, to the
-    one float object the model keeps for it.
+) -> None:
+    """Append the terms ``[sign] [coefficient] name`` of a linear expression,
+    given as its whitespace-separated tokens, to ``indices`` (column numbers,
+    read from ``columns``, which numbers a new name) and ``data``
+    (coefficients); a variable repeated in the expression is summed, in
+    order, into its first term.  ``numbers`` maps each coefficient token,
+    and the float of each negated coefficient, to the one float object the
+    model keeps for it.
 
     A token that glues a sign, a coefficient and a variable together
     (``-2x``) sends the whole expression through the lexer once, which
     splits them apart.  Of two signs in a row the later one counts; a
     coefficient or sign with no variable after it is an error.
     """
-    terms: dict[str, float] = {}
+    start = len(indices)
     sign = coef = None
     for tok in tokens:
         if not tok.isidentifier():
-            if tok == "+" or tok == "-" or tok.isdecimal() or _IS_NUMBER(tok):
+            if tok in _SIGNS or tok.isdecimal() or _IS_NUMBER(tok):
                 if coef is not None:
                     raise LpFormatError(f"coefficient {coef:g} without a variable")
-                if tok == "+" or tok == "-":
+                if tok in _SIGNS:
                     sign = tok
                 else:
-                    coef = _number(numbers, tok)
+                    coef = numbers[tok] if tok in numbers else _number(numbers, tok)
                     if coef == _INF:  # unsigned digits overflow to +inf only
                         raise LpFormatError("non-finite coefficient")
                 continue
             if not _IS_NAME(tok):
                 if spaced:
                     raise LpFormatError(f"unexpected text {tok!r}")
-                return _linear(_LEXEMES(" ".join(tokens)), columns, numbers, spaced=True)
-        tok = columns.setdefault(tok, tok)
+                del indices[start:], data[start:]
+                return _linear(_LEXEMES(" ".join(tokens)), columns, numbers, indices, data, spaced=True)
         if coef is None:
             value = -1.0 if sign == "-" else 1.0
         elif sign == "-":
@@ -540,14 +587,17 @@ def _linear(
                 value = numbers[coef] = 0.0 - coef
         else:
             value = coef
-        if tok in terms:
-            terms[tok] = _finite(terms[tok] + value, "coefficient")
-        else:
-            terms[tok] = value
+        indices.append(columns[tok])
+        data.append(value)
         sign = coef = None
     if sign is not None or coef is not None:
         raise LpFormatError("sign or coefficient without a variable")
-    return terms
+    n = len(indices) - start
+    if n > 1 and (indices[-1] == indices[-2] if n == 2 else len(set(indices[start:])) < n):
+        terms: dict[int, float] = {}
+        for col, value in zip(indices[start:], data[start:]):
+            terms[col] = _finite(terms[col] + value, "coefficient") if col in terms else value
+        indices[start:], data[start:] = terms, terms.values()
 
 
 def _finite(value: float, what: str) -> float:
@@ -612,8 +662,10 @@ def parse_lp(text: str) -> LpModel:
     sign (so ``1_0`` is none); a bound may also be infinite.
     """
     model = LpModel()
-    rows = model.rows
-    columns: dict[str, str] = {}  # insertion order is the column order
+    columns: defaultdict[str, int] = defaultdict(count().__next__)  # a new name is the next column
+    indices, data, integrality = model.indices, model.data, model.integrality
+    add_sense, add_rhs, add_end = model.senses.append, model.rhs.append, model.indptr.append
+    objective: dict[int, float] = {}  # by column, until the names are known
     numbers: dict[str | float, float] = {}  # one float per number token
     row_names: dict[str, None] = {}  # a set of the names, at half a set's size
     section = None
@@ -643,7 +695,7 @@ def parse_lp(text: str) -> LpModel:
                     if colon:
                         name = name.strip()
                     else:
-                        name, body = f"row{len(rows)}", line
+                        name, body = f"row{len(row_names)}", line
                     match = _SENSE.search(body)
                     if match is None:
                         raise LpFormatError("constraint without a sense")
@@ -653,36 +705,39 @@ def parse_lp(text: str) -> LpModel:
                 if not name.isidentifier() and not _IS_NAME(name):
                     raise LpFormatError(f"not a row name: {name!r}")
                 row_names[name] = None
-                rhs = _number(numbers, rhs)
+                rhs = numbers[rhs] if rhs in numbers else _number(numbers, rhs)
                 if not -_INF < rhs < _INF:
                     raise LpFormatError("non-finite right-hand side")
-                rows.append((name, _linear(lhs, columns, numbers), _SENSES[sense], rhs))
+                _linear(lhs, columns, numbers, indices, data)
+                add_sense(_SENSES[sense])
+                add_rhs(rhs)
+                add_end(len(indices))
             elif section == "objective":
                 _, colon, body = line.partition(":")
-                objective = model.objective
-                terms = _linear((body if colon else line).split(), columns, numbers)
-                for name, coef in terms.items():
-                    if name in objective:
-                        objective[name] = _finite(objective[name] + coef, "coefficient")
-                    else:
-                        objective[name] = coef
+                cols, coefs = [], []
+                _linear((body if colon else line).split(), columns, numbers, cols, coefs)
+                for col, coef in zip(cols, coefs):
+                    objective[col] = _finite(objective[col] + coef, "coefficient") if col in objective else coef
             elif section == "bounds":
-                name = _bound(model, tokens)
-                columns.setdefault(name, name)
+                columns[_bound(model, tokens)]  # numbers the bounded variable
             elif section is not None:
-                names = model.integer if section == "general" else model.binary
-                for name in tokens:
-                    names.add(columns.setdefault(_name(name), name))
+                bit = _GENERAL if section == "general" else _BINARY
+                cols = [columns[_name(name)] for name in tokens]
+                integrality.extend(bytes(len(columns) - len(integrality)))
+                for col in cols:
+                    integrality[col] |= bit
     except ValueError as exc:
         raise LpFormatError(f"line {lineno}: {exc}: {raw.strip()!r}") from exc
-    model.order = list(columns)
+    model.order, model.row_names = list(columns), list(row_names)
+    integrality.extend(bytes(len(columns) - len(integrality)))
+    model.objective = dict(zip(map(model.order.__getitem__, objective), objective.values()))
     return model
 
 
 def lp_entity_counts(text: str) -> EmitCounts:
     """Count distinct variables and constraint rows in an emitted LP file."""
     model = parse_lp(text)
-    return EmitCounts(len(model.order), len(model.rows))
+    return EmitCounts(len(model.order), len(model.row_names))
 
 
 def solve(model: LpModel):
@@ -701,40 +756,19 @@ def solve(model: LpModel):
     from scipy.sparse import csr_array
 
     names = model.order
-    index = {name: i for i, name in enumerate(names)}
     n = len(names)
-    c = np.zeros(n)
-    for name, coef in model.objective.items():
-        c[index[name]] = -coef if model.maximize else coef
-
-    indices: list[int] = []
-    data: list[float] = []
-    indptr = [0]
-    lo = np.full(len(model.rows), -np.inf)
-    hi = np.full(len(model.rows), np.inf)
-    for i, (_, terms, sense, rhs) in enumerate(model.rows):
-        indices.extend(map(index.__getitem__, terms))
-        data.extend(terms.values())
-        indptr.append(len(indices))
-        if sense != "<=":
-            lo[i] = rhs
-        if sense != ">=":
-            hi[i] = rhs
-
-    lower = np.zeros(n)
-    upper = np.full(n, np.inf)
-    for i, name in enumerate(names):
-        if name in model.binary:
-            lower[i], upper[i] = 0.0, 1.0
-        if name in model.lower:
-            lower[i] = model.lower[name]
-        if name in model.upper:
-            upper[i] = model.upper[name]
-    integrality = np.array([name in model.integer or name in model.binary for name in names], dtype=int)
+    index = dict(zip(names, range(n)))
+    kind = np.array(model.integrality)  # one uint8 per column
+    c, lower, upper = np.zeros(n), np.zeros(n), np.where(kind & _BINARY, 1.0, np.inf)
+    for entries, values in ((model.objective, c), (model.lower, lower), (model.upper, upper)):
+        values[[index[name] for name in entries]] = list(entries.values())
 
     constraints = ()
-    if model.rows:
-        matrix = csr_array((data, indices, indptr), shape=(len(model.rows), n))
+    if model.row_names:
+        rhs, senses = np.array(model.rhs), np.array(model.senses)
+        lo, hi = np.where(senses == "<=", -np.inf, rhs), np.where(senses == ">=", np.inf, rhs)
+        matrix = csr_array((model.data, model.indices, model.indptr), shape=(len(rhs), n))
         constraints = LinearConstraint(matrix, lo, hi)
-    result = milp(c=c, constraints=constraints, integrality=integrality, bounds=Bounds(lower, upper))
+    c = -c if model.maximize else c
+    result = milp(c=c, constraints=constraints, integrality=np.minimum(kind, 1), bounds=Bounds(lower, upper))
     return names, result

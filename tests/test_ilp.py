@@ -190,6 +190,30 @@ class TestParseLp:
         assert model.upper == {"x": 2000.0, "y": math.inf}
 
 
+class TestCsrModel:
+    """``LpModel`` holds its rows as CSR arrays; ``rows`` is a view."""
+
+    def test_repeated_variable_sums_into_its_first_term(self):
+        model = parse_lp("Minimize\n obj: y\nSubject To\n c1: x + 2 x - y >= 1\n c2: y - x <= 4\nEnd\n")
+        assert model.rows[0] == ("c1", {"x": 3.0, "y": -1.0}, ">=", 1.0)
+        assert (model.indptr, model.indices, model.data) == ([0, 2, 4], [1, 0, 0, 1], [3.0, -1.0, 1.0, -1.0])
+        assert (model.row_names, model.senses, model.rhs) == (["c1", "c2"], [">=", "<="], [1.0, 4.0])
+
+    def test_rows_view_indexes_like_a_list(self):
+        model = parse_lp("Minimize\n obj: x\nSubject To\n c1: x >= 1\n c2: x + y <= 3\nEnd\n")
+        assert len(model.rows) == 2
+        assert model.rows[-1] == model.rows[1] == ("c2", {"x": 1.0, "y": 1.0}, "<=", 3.0)
+        assert list(model.rows) == [("c1", {"x": 1.0}, ">=", 1.0), model.rows[1]]
+        for i in (2, -3):
+            with pytest.raises(IndexError):
+                model.rows[i]
+
+    def test_a_name_in_both_sections_has_both_bits(self):
+        model = parse_lp("Minimize\n obj: x + y + z\nSubject To\n c1: x + y >= 1\nBinary\n x y\nGeneral\n x z\nEnd\n")
+        assert list(model.integrality) == [3, 2, 1]
+        assert (model.binary, model.integer) == ({"x", "y"}, {"x", "z"})
+
+
 # every line boundary str.splitlines honours
 SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
@@ -232,6 +256,15 @@ def _parses_or_is_rejected(text: str) -> None:
     row_names = [name for name, _, _, _ in model.rows]
     assert all(ilp._IS_NAME(name) for name in row_names)
     assert len(set(row_names)) == len(row_names)
+    # the CSR arrays
+    indptr, indices = model.indptr, model.indices
+    assert len(model.row_names) == len(model.senses) == len(model.rhs) == len(indptr) - 1
+    assert indptr[0] == 0 and indptr[-1] == len(indices) == len(model.data)
+    assert all(a <= b for a, b in zip(indptr, indptr[1:]))
+    assert all(0 <= i < len(model.order) for i in indices)
+    for a, b in zip(indptr, indptr[1:]):
+        assert len(set(indices[a:b])) == b - a
+    assert len(model.integrality) == len(model.order)
 
 
 class TestParseFuzz:
@@ -341,6 +374,21 @@ class TestMemory:
         text, _ = emit_text(ModelKind.ALLOCATION, sixty_hosts, W10)
         _, peak, held = _traced(lambda: parse_lp(text))
         assert peak - held < len(text)
+
+    def test_parsed_model_is_below_three_times_the_text(self, sixty_hosts):
+        """The model ``parse_lp`` returns for the allocation text, rows in
+        CSR lists, holds less than three times the text.  Measured (Python
+        3.11): 2.71x; a model with one dict and one tuple per row and a
+        ``binary`` set held 4.58x."""
+        text, _ = emit_text(ModelKind.ALLOCATION, sixty_hosts, W10)
+        _, _, held = _traced(lambda: parse_lp(text))
+        assert held < 3 * len(text)
+
+    def test_rows_length_builds_no_row(self, sixty_hosts):
+        model = parse_lp(emit_text(ModelKind.ALLOCATION, sixty_hosts, W10)[0])
+        n, peak, _ = _traced(lambda: len(model.rows))
+        assert n == len(model.row_names) > 10_000
+        assert peak < 1024  # the view alone; one row's dict and tuple take more
 
 
 class TestSolveLpCommand:
@@ -518,6 +566,18 @@ class TestReadSolution:
         with pytest.raises(SolutionError, match="^line 2: bad value 'one'$"):
             read_solution(ModelKind.ALLOCATION, fig2, "active_h0 1\nalloc_v0_h0 one", W10)
 
+    @pytest.mark.parametrize("value", ["1_0", "-1_0", "1e1_0", "\u0661", "\uff11", "1\u0660", ".5", "1."])
+    def test_value_outside_the_number_pattern_rejected(self, fig2, value):
+        # float() reads each of these; parse_lp's number pattern reads none
+        float(value)
+        with pytest.raises(SolutionError, match=f"^line 2: bad value {re.escape(repr(value))}$"):
+            read_solution(ModelKind.ALLOCATION, fig2, f"active_h0 1\nalloc_v0_h0 {value}\n", W10)
+
+    def test_values_as_solvers_print_them_are_read(self):
+        values = [0.0, -0.0, 1.0, 0.5, 1e-06, 1e20, -2.5e-300, 123456789012.0]
+        text = "".join(f"x{i} {value:.12g}\n" for i, value in enumerate(values))
+        assert ilp._parse_variable_dump(text) == {f"x{i}": value for i, value in enumerate(values)}
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "NaN"])
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_non_finite_value_rejected(self, fig2, kind, value):
@@ -612,7 +672,9 @@ _DUMP_NAMES = st.one_of(
     st.from_regex(r"[a-z_]{1,6}[0-9]{0,2}", fullmatch=True),
 )
 _DUMP_VALUES = st.one_of(
-    st.sampled_from(["0", "1", "2", "-1", "0.5", "1e-9", "1.0000001", "1e400", "-1e400", "NaN", "-nan", "one"]),
+    st.sampled_from(
+        ["0", "1", "2", "-1", "0.5", "1e-9", "1.0000001", "1e400", "-1e400", "NaN", "-nan", "one", "1_0", "\u0661", "\uff11"]
+    ),
     st.floats().map(repr),
     st.integers(-(10**400), 10**400).map(str),
 )
