@@ -378,7 +378,7 @@ class TestMemory:
     def test_parsed_model_is_below_three_times_the_text(self, sixty_hosts):
         """The model ``parse_lp`` returns for the allocation text, rows in
         CSR lists, holds less than three times the text.  Measured (Python
-        3.11): 2.71x; a model with one dict and one tuple per row and a
+        3.11): 2.70x; a model with one dict and one tuple per row and a
         ``binary`` set held 4.58x."""
         text, _ = emit_text(ModelKind.ALLOCATION, sixty_hosts, W10)
         _, _, held = _traced(lambda: parse_lp(text))
