@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
-from .datagen import GenConfig, GenerationError, generate_instance
+from .datagen import MODES, GenConfig, GenerationError, generate_instance
 from .evaluate import (
     ALGORITHMS,
     evaluate_instance,
@@ -99,11 +99,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
+def _add_mph_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mph", type=_mph_flag, default=math.inf,
                         help="migration budget per released host (units, KiB/MiB/GiB/TiB suffix, or 'inf')")
+
+
+def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
+    _add_mph_flag(parser)
     parser.add_argument("--alpha", type=_rational_flag, default=str(DEFAULT_ALPHA),
-                        help="balanced/lopsided threshold (default 0.95)")
+                        help=f"balanced/lopsided threshold (default {DEFAULT_ALPHA})")
     parser.add_argument("--force-steps", type=int, default=DEFAULT_FORCE_STEP_LIMIT,
                         help=f"force-step budget per release attempt (default {DEFAULT_FORCE_STEP_LIMIT})")
     parser.add_argument("--gamma", type=int, default=DEFAULT_REPEAT_LIMIT,
@@ -185,9 +189,9 @@ def cmd_solve(args) -> int:
             _at_least("--max-migrations", budget, 0)
         mapping, report = sercon_original(inst, params, max_total_migrations=budget)
     _emit_instance(instance_with_mapping(inst, mapping), args.output)
-    if args.report:
-        Path(args.report).write_text(json.dumps(_report_dict(report), indent=1) + "\n")
     summary = _report_dict(report)
+    if args.report:
+        Path(args.report).write_text(json.dumps(summary, indent=1) + "\n")
     summary.pop("attempts")
     print(json.dumps(summary), file=sys.stderr)
     return 0
@@ -235,12 +239,7 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-_MODEL_CHOICES = {
-    "alloc": [ModelKind.ALLOCATION],
-    "flow": [ModelKind.FLAVOR_FLOW],
-    "flowlb": [ModelKind.RELAXED_FLAVOR_FLOW],
-    "all": list(ModelKind),
-}
+_MODEL_CHOICES = {kind.value: [kind] for kind in ModelKind} | {"all": list(ModelKind)}
 
 
 def cmd_export_ilp(args) -> int:
@@ -388,19 +387,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("generate", help="generate a synthetic instance")
-    p.add_argument("--mode", choices=("lopsided", "uniform"), default="lopsided")
+    capacity = GenConfig.host_capacity
+    p.add_argument("--mode", choices=MODES, default=GenConfig.mode)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--hosts", type=int, required=True)
-    p.add_argument("--cpu", type=int, default=16, help="host cpu capacity (default 16)")
-    p.add_argument("--mem", type=int, default=32, help="host mem capacity in units (default 32)")
-    p.add_argument("--flavors", type=int, default=30)
-    p.add_argument("--fill", type=float, default=0.9)
+    p.add_argument("--cpu", type=int, default=capacity.cpu,
+                   help=f"host cpu capacity (default {capacity.cpu})")
+    p.add_argument("--mem", type=int, default=capacity.mem,
+                   help=f"host mem capacity in units (default {capacity.mem})")
+    p.add_argument("--flavors", type=int, default=GenConfig.num_flavors)
+    p.add_argument("--fill", type=float, default=GenConfig.target_fill)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("oracle", help="exact optimum for a tiny instance")
     p.add_argument("instance")
-    p.add_argument("--mph", type=_mph_flag, default=math.inf)
+    _add_mph_flag(p)
     p.add_argument("--max-vms", type=int, default=OracleLimits.max_vms)
     p.add_argument("--max-hosts", type=int, default=OracleLimits.max_hosts)
     p.add_argument("--node-budget", type=int, default=OracleLimits.node_budget)
@@ -410,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-ilp", help="emit LP-format integer programs")
     p.add_argument("instance")
     p.add_argument("--model", choices=sorted(_MODEL_CHOICES), default="all")
-    p.add_argument("--mph", type=_mph_flag, default=math.inf)
+    _add_mph_flag(p)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_export_ilp)
 

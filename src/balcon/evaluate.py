@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -202,16 +202,8 @@ def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]
 
 
 def write_gaps_csv(records: Iterable[GapRecord], path: str | Path) -> None:
-    header = [
-        "instance",
-        "algorithm",
-        "ref_kind",
-        "alg_objective",
-        "ref_objective",
-        "init_objective",
-        "gap",
-        "non_trivial",
-    ]
+    # the record's fields, with instance_id headed "instance"
+    header = ["instance", *(f.name for f in fields(GapRecord)[1:])]
     _write_csv(path, header, map(astuple, records))
 
 
@@ -220,14 +212,4 @@ def write_profile_csv(series: Iterable[tuple[Fraction, Fraction]], path: str | P
 
 
 def write_sweep_csv(points: Iterable[SweepPoint], path: str | Path) -> None:
-    header = [
-        "mph",
-        "algorithm",
-        "active_hosts",
-        "migrated_mem",
-        "force_steps",
-        "objective",
-        "gap",
-        "ref_kind",
-    ]
-    _write_csv(path, header, map(astuple, points))
+    _write_csv(path, [f.name for f in fields(SweepPoint)], map(astuple, points))

@@ -184,10 +184,8 @@ def emit_allocation_model(inst: Instance, weights: ObjectiveWeights, out: TextIO
 
     # fixed-shape rows are formatted directly; every VM has an initial host,
     # so n_hosts > 0 whenever a VM row exists and no expression is empty
-    rows = 0
     for v in range(n_vms):
         write(f" assign_v{v}: {' + '.join(alloc[v])} = 1\n")
-        rows += 1
     for resource, need, caps in (
         ("cpu", inst._vm_cpu, inst._cap_cpu),
         ("mem", inst._vm_mem, inst._cap_mem),
@@ -196,18 +194,15 @@ def emit_allocation_model(inst: Instance, weights: ObjectiveWeights, out: TextIO
             terms = [(need[v], alloc[v][h]) for v in range(n_vms)]
             expr = "".join(_expr(terms, keep_zero=active[h]))
             write(f" {resource}_h{h}: {expr} <= {_fmt_num(caps[h])}\n")
-            rows += 1
     for v in range(n_vms):
         for h, name in enumerate(alloc[v]):
             write(f" link_v{v}_h{h}: {name} - {active[h]} <= 0\n")
-            rows += 1
     for v in range(n_vms):
         write(f" migr_v{v}: {migr[v]} + {alloc[v][inst._initial[v]]} = 1\n")
-        rows += 1
 
     _declare(out, "Binary", [*alloc, active, migr])
     write("End\n")
-    return EmitCounts(n_vms * n_hosts + n_hosts + n_vms, rows)
+    return expected_counts(ModelKind.ALLOCATION, n_vms, n_hosts, len(inst.flavors))
 
 
 def emit_flavor_flow_model(
@@ -226,22 +221,18 @@ def emit_flavor_flow_model(
     migration = ((w_mig * demands[f].mem, name) for f in range(n_flavors) for name in outflow[f])
     _objective(out, weights.w_a, active, migration)
 
-    rows = 0
     for f in range(n_flavors):
         terms = [(1, name) for name in outflow[f]]
         terms += [(-1, name) for name in inflow[f]]
         write(f" flow_f{f}: {''.join(_expr(terms))} = 0\n")
-        rows += 1
     for f in range(n_flavors):
         for h, n in enumerate(counts[f]):
             write(f" outcap_f{f}_h{h}: {outflow[f][h]} <= {n}\n")
-            rows += 1
     for f in range(n_flavors):
         for h, n_fh in enumerate(counts[f]):
             out_fh = outflow[f][h]
             expr = "".join(_expr([(-n_fh, active[h]), (-1, out_fh)], keep_zero=out_fh))
             write(f" evac_f{f}_h{h}: {expr} <= {_fmt_num(-n_fh)}\n")
-            rows += 1
     for resource, caps in (("cpu", inst._cap_cpu), ("mem", inst._cap_mem)):
         need = [getattr(d, resource) for d in demands]
         for h in range(n_hosts):
@@ -250,14 +241,13 @@ def emit_flavor_flow_model(
             terms.append((-caps[h], active[h]))
             rhs = -sum(need[f] * counts[f][h] for f in range(n_flavors))
             write(f" {resource}_h{h}: {''.join(_expr(terms))} <= {_fmt_num(rhs)}\n")
-            rows += 1
 
     # the flows keep the default bounds [0, inf), so no Bounds section
     if not relaxed:
         _declare(out, "General", [*inflow, *outflow])
     _declare(out, "Binary", [active])
     write("End\n")
-    return EmitCounts(2 * n_flavors * n_hosts + n_hosts, rows)
+    return expected_counts(ModelKind.FLAVOR_FLOW, len(inst.vms), n_hosts, n_flavors)
 
 
 def emit_model(kind: ModelKind, inst: Instance, weights: ObjectiveWeights, out: TextIO) -> EmitCounts:
@@ -433,16 +423,27 @@ class LpFormatError(ValueError):
     """LP text outside the subset ``parse_lp`` reads."""
 
 
-@dataclass(frozen=True)
 class _Rows(Sequence):
-    """The rows of ``model`` as tuples, each built when it is read."""
+    """The rows of ``model`` as tuples, each built when it is read.  Like
+    the list of rows it stands for, it equals a list (or another view) of
+    equal rows and nothing else, is unhashable, and a slice of it is a list."""
 
-    model: LpModel
+    __slots__ = ("model",)
+
+    def __init__(self, model: LpModel) -> None:
+        self.model = model
 
     def __len__(self) -> int:
         return len(self.model.row_names)
 
-    def __getitem__(self, i: int) -> tuple[str, dict[str, float], str, float]:
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, _Rows)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
         m, i = self.model, range(len(self))[i]
         start, end = m.indptr[i], m.indptr[i + 1]
         terms = dict(zip(map(m.order.__getitem__, m.indices[start:end]), m.data[start:end]))

@@ -270,7 +270,8 @@ class Mapping:
     VM back in place and ``commit()`` keeps the change.  Opening and undoing
     an attempt, and listing the hosts it moved, thus cost what the attempt
     touched: at most |V| entries, however often it moved a VM.  Attempts do
-    not nest.
+    not nest.  Mappings compare by instance and assignment; as they change,
+    they are unhashable.
     """
 
     __slots__ = ("inst", "_host_of", "_load_c", "_load_m", "_members", "_first")
@@ -463,9 +464,6 @@ class Mapping:
         if not isinstance(other, Mapping):
             return NotImplemented
         return self.inst == other.inst and self._host_of == other._host_of
-
-    def __hash__(self) -> int:
-        return hash((self.inst, tuple(self._host_of)))
 
     def __repr__(self) -> str:
         return f"Mapping({self._host_of!r})"

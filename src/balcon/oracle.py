@@ -49,9 +49,8 @@ class OracleResult:
 def min_active_hosts_bound(inst: Instance) -> int:
     """Smallest k such that the k largest hosts per resource cover the total
     demand in that resource; a valid lower bound on active hosts for any
-    total feasible mapping."""
-    if not inst.vms:
-        return 0
+    total feasible mapping.  Every ``Instance`` has a feasible initial
+    mapping, so all its hosts together cover the demand."""
     bound = 0
     for totals, caps in (
         (sum(inst._vm_cpu), sorted(inst._cap_cpu, reverse=True)),
@@ -60,8 +59,6 @@ def min_active_hosts_bound(inst: Instance) -> int:
         covered = 0
         k = 0
         while covered < totals:
-            if k >= len(caps):
-                raise ValueError("total demand exceeds total capacity; no feasible mapping exists")
             covered += caps[k]
             k += 1
         bound = max(bound, k)
@@ -98,7 +95,6 @@ def brute_force_optimal(
 
     load_c = [0] * n_hosts
     load_m = [0] * n_hosts
-    occupants = [0] * n_hosts
     assign = [0] * n_vms
     best_obj: list = [None]
     best_assign: list = [None]
@@ -119,16 +115,14 @@ def brute_force_optimal(
             if load_c[h] + c > cap_c[h] or load_m[h] + m > cap_m[h]:
                 continue
             explored[0] += 1
-            newly_active = 1 if occupants[h] == 0 else 0
+            newly_active = 1 if load_c[h] == 0 else 0  # every VM takes at least 1 CPU
             extra_mig = 0 if h == home[i] else m
             load_c[h] += c
             load_m[h] += m
-            occupants[h] += 1
             assign[i] = h
             recurse(i + 1, active + newly_active, migrated + extra_mig)
             load_c[h] -= c
             load_m[h] -= m
-            occupants[h] -= 1
     recurse(0, 0, 0)
     if best_assign[0] is None:
         raise RuntimeError("no feasible mapping found, but the initial mapping is feasible")

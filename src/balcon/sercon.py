@@ -53,20 +53,19 @@ def sercon_original(
         )
 
     def place(stashed: tuple[int, ...]) -> ForceFitResult:
-        # all or nothing, largest VM first; the attempt ends at the first VM
-        # that fits nowhere
-        if over_budget(stashed):
-            return ForceFitResult(0, {}, False, "migration budget exhausted")
+        # all or nothing, largest VM first; an attempt over the budget ends
+        # before its first placement, any other at the first VM that fits
+        # nowhere
         for v in sorted(stashed, key=lambda x: (-size[x], x)):
-            if engine.best_fit(v) is None:
-                return ForceFitResult(0, {}, False, f"vm {v} fits no host")
-        return ForceFitResult(0, {}, True)
+            if over_budget(stashed) or engine.best_fit(v) is None:
+                return miss(v, stashed)
+        return ForceFitResult(0, {})
 
     def miss(v: int, stashed: tuple[int, ...]) -> ForceFitResult:
-        # place's result when its first VM v fits no host, without placing
+        # the result of an attempt that ends at VM v, placing nothing more
         if over_budget(stashed):
-            return ForceFitResult(0, {}, False, "migration budget exhausted")
-        return ForceFitResult(0, {}, False, f"vm {v} fits no host")
+            return ForceFitResult(0, {}, reason="migration budget exhausted")
+        return ForceFitResult(0, {}, reason=f"vm {v} fits no host")
 
     for _ in range(len(inst.hosts)):
         released_any = False

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from fractions import Fraction
 from itertools import accumulate, cycle
 from typing import Callable, Optional, Sequence
@@ -135,22 +135,30 @@ class ForceFitResult:
 
     force_steps: int
     class_counts: dict[str, int]
-    completed: bool
+    _: KW_ONLY
     reason: str | None = None
     cycle_period: int | None = None
+
+    @property
+    def completed(self) -> bool:
+        return self.reason is None
 
 
 @dataclass
 class ReleaseAttempt:
     host: int
-    accepted: bool
     released: bool
     force_steps: int
     class_counts: dict[str, int]
     objective_after: object
     migrated_after: int
     outcome: str  # one of the outcome constants above
+    _: KW_ONLY
     cycle_period: int | None = None  # ForceFitResult.cycle_period
+
+    @property
+    def accepted(self) -> bool:
+        return self.outcome == ACCEPTED
 
 
 @dataclass
@@ -233,6 +241,8 @@ def choose_host_lopsided(
     larger load fraction.  Otherwise flip the toggle and take the host with
     the largest load in that resource.  Ties go to the lower host id.
     ``hosts`` and the None result are as in ``choose_host_balanced``.
+    Every candidate must hold a VM, as every host of a release attempt
+    but the released one does (``ReleaseEngine.lower_bound``).
     """
     if not hosts:
         return None
@@ -241,28 +251,23 @@ def choose_host_lopsided(
     vc, vm = inst._vm_cpu[v], inst._vm_mem[v]
     load_c, load_m = mu._load_c, mu._load_m
 
-    # One pass over the loaded candidates: extremal tests for v's angle and
-    # the min/max-angle hosts (ties to the lower id via the ascending scan;
-    # min_h is -1 until a loaded candidate is seen).  A host below the
-    # minimum angle is below the maximum too, so it moves one of them at most.
+    # One pass over the candidates: extremal tests for v's angle and the
+    # min/max-angle hosts (ties to the lower id via the ascending scan).  A
+    # host below the minimum angle is below the maximum too, so it moves one
+    # of them at most.
     v_ge_all = v_le_all = True
-    min_h = max_h = -1
-    min_lc = min_lm = max_lc = max_lm = 0
+    min_h = max_h = allowed[0]
+    min_lc = max_lc = load_c[min_h]
+    min_lm = max_lm = load_m[min_h]
     for h in allowed:
         lc = load_c[h]
         lm = load_m[h]
-        if lc == 0 and lm == 0:
-            continue
         side = vc * lm - lc * vm
         if side < 0:
             v_ge_all = False
         elif side > 0:
             v_le_all = False
-        if min_h < 0:
-            min_h = max_h = h
-            min_lc = max_lc = lc
-            min_lm = max_lm = lm
-        elif lc * min_lm < min_lc * lm:
+        if lc * min_lm < min_lc * lm:
             min_h = h
             min_lc = lc
             min_lm = lm
@@ -271,7 +276,7 @@ def choose_host_lopsided(
             max_lc = lc
             max_lm = lm
 
-    if min_h >= 0 and (v_ge_all or v_le_all):
+    if v_ge_all or v_le_all:
         choice, lc, lm = (min_h, min_lc, min_lm) if v_ge_all else (max_h, max_lc, max_lm)
         # the larger load fraction, lc / cap_c against lm / cap_m; ties to cpu
         toggle.r = "cpu" if lc * inst._cap_mem[choice] >= lm * inst._cap_cpu[choice] else "mem"
@@ -365,7 +370,7 @@ def _run_out_cycle(
         counts[name] += 1
         if name != _AMPLE:
             if steps >= limit:
-                return ForceFitResult(steps, counts, False, _BUDGET_EXHAUSTED, p)
+                return ForceFitResult(steps, counts, reason=_BUDGET_EXHAUSTED, cycle_period=p)
             steps += 1
 
 
@@ -502,7 +507,7 @@ def force_fit(
         if steps:
             classes.append(name)
         if steps >= limit:
-            return ForceFitResult(steps, counts, False, _BUDGET_EXHAUSTED)
+            return ForceFitResult(steps, counts, reason=_BUDGET_EXHAUSTED)
         if hosts is None:
             hosts = engine.hosts()
         demand = (vm_cpu[v], vm_mem[v])
@@ -517,7 +522,7 @@ def force_fit(
             evict = force_fit_lopsided
         if dest is None:
             # no host can hold v even when empty; the attempt cannot succeed
-            return ForceFitResult(steps, counts, False, f"vm {v} fits no destination")
+            return ForceFitResult(steps, counts, reason=f"vm {v} fits no destination")
         steps += 1
         stash.pop()
         evicted = evict(v, dest, mu)
@@ -537,7 +542,7 @@ def force_fit(
                     "evicted": list(evicted),
                 }
             )
-    return ForceFitResult(steps, counts, True, None)
+    return ForceFitResult(steps, counts)
 
 
 class ReleaseEngine:
@@ -603,7 +608,6 @@ class ReleaseEngine:
         self.trace = trace
         self.best_obj = objective(self.mu, self.mu0, weights)
         self.best_mig = 0
-        self.force_steps = 0
         self.attempts: list[ReleaseAttempt] = []
         # state of the lower bound: fixed demand, running capacity of the
         # active hosts and memory that left released hosts
@@ -627,12 +631,8 @@ class ReleaseEngine:
         """The hosts of the current attempt: ``active`` without the released
         host, ascending, as a fresh list.  It costs O(H), so a policy asks
         for it only when it scans the hosts."""
-        hosts = self.active.copy()
         h = self.releasing
-        i = bisect_left(hosts, h)
-        if i < len(hosts) and hosts[i] == h:
-            del hosts[i]
-        return hosts
+        return [g for g in self.active if g != h]
 
     def room(self, v: int) -> list[tuple[int, int]]:
         """The room list of VM v's demand: ``(-key, g)`` for each active host
@@ -876,9 +876,9 @@ class ReleaseEngine:
         miss: Callable[[int, tuple[int, ...]], ForceFitResult] | None = None,
     ) -> ReleaseAttempt:
         mu, trace = self.mu, self.trace
-        steps, counts, released, cycle_period = 0, {}, False, None
+        released = False
         if mu._members[h] and self.lower_bound(h) > self.best_obj:
-            outcome = SKIPPED
+            outcome, result = SKIPPED, ForceFitResult(0, {})
         else:
             self.releasing = h  # for the first-miss probe, which opens nothing
             stashed = mu.vms_on(h)
@@ -889,9 +889,6 @@ class ReleaseEngine:
                 result = miss(first, stashed)
             else:
                 result = place(self.begin(h))
-            steps, counts = result.force_steps, result.class_counts
-            cycle_period = result.cycle_period
-            self.force_steps += steps
             outcome = self._judge(result, emptied=bool(stashed))
             if outcome == ACCEPTED:
                 self._commit()
@@ -908,14 +905,13 @@ class ReleaseEngine:
         accepted = outcome == ACCEPTED
         attempt = ReleaseAttempt(
             host=h,
-            accepted=accepted,
             released=released,
-            force_steps=steps,
-            class_counts=counts,
+            force_steps=result.force_steps,
+            class_counts=result.class_counts,
             objective_after=self.best_obj,
             migrated_after=self.best_mig,
             outcome=outcome,
-            cycle_period=cycle_period,
+            cycle_period=result.cycle_period,
         )
         self.attempts.append(attempt)
         if not accepted:
@@ -949,16 +945,14 @@ class ReleaseEngine:
             return None
         attempt = ReleaseAttempt(
             last.host,
-            last.accepted,
             last.released,
             last.force_steps,
             dict(last.class_counts),
             last.objective_after,
             last.migrated_after,
             last.outcome,
-            last.cycle_period,
+            cycle_period=last.cycle_period,
         )
-        self.force_steps += attempt.force_steps
         self.attempts.append(attempt)
         return attempt
 
@@ -1008,7 +1002,7 @@ class ReleaseEngine:
             active_hosts=mu.active_count(),
             migrated_mem=self.best_mig,
             objective=self.best_obj,
-            force_steps=self.force_steps,
+            force_steps=sum(a.force_steps for a in self.attempts),
             attempts=self.attempts,
             wall_time=time.perf_counter() - self.start,
         )
@@ -1037,7 +1031,7 @@ def balcon(
         # force_fit's result on a zero budget when the stash's largest VM
         # fits no host: one classification of a stash of h's whole load
         cls = engine.classify(*engine.mu.load_parts(engine.releasing), params.alpha)
-        return ForceFitResult(0, {cls.value: 1}, False, _BUDGET_EXHAUSTED)
+        return ForceFitResult(0, {cls.value: 1}, reason=_BUDGET_EXHAUSTED)
 
     # a stable sort of the ascending ids breaks cost ties to the lower id
     for h in sorted(range(len(inst.hosts)), key=costs.__getitem__):

@@ -158,6 +158,10 @@ class TestBalanceFactorOfInstances:
     def test_fig2_value(self, fig2):
         assert instance_balance_factor(fig2) == Fraction(1, 2)
 
+    def test_no_hosts_rejected(self):
+        with pytest.raises(ValueError, match="^instance has no hosts$"):
+            instance_balance_factor(Instance([], [], [], []))
+
     def test_identical_loads_are_balanced(self):
         hosts = [Host(i, ResourceVec(4, 4)) for i in range(3)]
         flavors = [Flavor(0, ResourceVec(2, 2))]

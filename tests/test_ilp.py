@@ -144,6 +144,7 @@ class TestParseLp:
             ("c1: x \u2265 1", "non-ASCII text"),
             ("c 2: x <= 5", "not a row name: 'c 2'"),
             ("c1: x >= 1_0", "bad number '1_0'"),
+            ("c1: x >= 1e999", "non-finite right-hand side"),
         ],
     )
     def test_bad_row_is_named(self, row, message):
@@ -207,6 +208,15 @@ class TestCsrModel:
         for i in (2, -3):
             with pytest.raises(IndexError):
                 model.rows[i]
+
+    def test_rows_view_compares_and_slices_like_the_list(self):
+        model = parse_lp("Minimize\n obj: x\nSubject To\n c1: x >= 1\n c2: x + y <= 3\nEnd\n")
+        rows = [("c1", {"x": 1.0}, ">=", 1.0), ("c2", {"x": 1.0, "y": 1.0}, "<=", 3.0)]
+        assert model.rows == rows and rows == model.rows and model.rows == model.rows
+        assert model.rows != rows[:1] and model.rows != [] and model.rows != tuple(rows)
+        assert model.rows[0:1] == rows[0:1] and type(model.rows[0:1]) is list
+        assert model.rows[-1:] == rows[-1:]
+        assert model.rows[::-1] == rows[::-1]
 
     def test_a_name_in_both_sections_has_both_bits(self):
         model = parse_lp("Minimize\n obj: x + y + z\nSubject To\n c1: x + y >= 1\nBinary\n x y\nGeneral\n x z\nEnd\n")
@@ -488,6 +498,11 @@ class TestEmission:
         binary = flow_lines.index("Binary")
         assert flow_lines[:general] == relaxed_lines[:general]
         assert flow_lines[binary:] == relaxed_lines[general:]
+
+    def test_integral_weight_beyond_float_is_exact(self, fig2):
+        # a float would round 10**17 + 1 to 100000000000000000
+        text, _ = emit_text(ModelKind.ALLOCATION, fig2, ObjectiveWeights(Fraction(10**17 + 1), 1))
+        assert "obj: 100000000000000001 active_h0 + 100000000000000001 active_h1" in text
 
     def test_infinite_budget_uses_epsilon_migration_terms(self, fig2):
         text, _ = emit_text(ModelKind.ALLOCATION, fig2, ObjectiveWeights.from_mph(math.inf))

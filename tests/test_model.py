@@ -30,7 +30,7 @@ from balcon import (
 
 from balcon.model import load_key
 
-from conftest import A, GREEN, RED, random_instance
+from conftest import A, GREEN, RED, make_fig2, random_instance
 
 
 class TestResourceVec:
@@ -290,6 +290,13 @@ class TestWeights:
 
 
 class TestMappingCaches:
+    def test_mapping_is_unhashable(self, fig2):
+        # its assignment changes as VMs move; an immutable Instance hashes
+        mu = fig2.initial_mapping()
+        with pytest.raises(TypeError):
+            hash(mu)
+        assert hash(fig2) == hash(make_fig2())
+
     def test_cache_coherence_random_ops(self, fig2):
         rng = random.Random(11)
         for _ in range(200):

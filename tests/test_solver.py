@@ -44,7 +44,7 @@ from balcon.classify import (
     split_class,
 )
 from balcon.model import load_key
-from balcon.solver import ForceFitResult, ReleaseEngine, _capacity_candidates
+from balcon.solver import ForceFitResult, ReleaseAttempt, ReleaseEngine, _capacity_candidates
 
 from conftest import A, B, GREEN, RED, YELLOW, random_instance, tiny_instances
 from test_golden_reports import BASELINE_GROUPS, BASELINES, GROUPS as GOLDEN_GROUPS
@@ -256,6 +256,21 @@ class TestChooseHostLopsided:
         p, toggle = RepeatsProhibitor(3), ResourceToggle("cpu")
         # equal angles tie-break to the lower id
         assert choose_host_lopsided(v, [0, 1], mu, p, toggle) == 0
+
+    def test_engine_candidates_are_loaded(self, monkeypatch):
+        """The function requires candidates that hold a VM; every call
+        ``force_fit`` makes on the Force Step runs below meets that."""
+        calls = []
+        real = solver.choose_host_lopsided
+
+        def checked(v, hosts, mu, prohibitor, toggle):
+            calls.append(all(mu._members[h] for h in hosts))
+            return real(v, hosts, mu, prohibitor, toggle)
+
+        monkeypatch.setattr(solver, "choose_host_lopsided", checked)
+        for _, inst, weights in [*GOLDEN_GROUPS["twins-12-hosts"](), *BASELINE_GROUPS["lopsided-20-hosts"]()]:
+            balcon(inst, SolverParams(weights=weights))
+        assert calls and all(calls)
 
 
 class TestForceFitBalanced:
@@ -663,8 +678,8 @@ def _reference_force_fit(stash: Stash, hosts, mu: Mapping, params: SolverParams)
     visited = {}  # state -> Force Steps taken at its first visit
     repeat = period = at_repeat = None
 
-    def end(completed: bool, reason: str | None = None):
-        result = ForceFitResult(steps, counts, completed, reason, period)
+    def end(reason: str | None = None):
+        result = ForceFitResult(steps, counts, reason=reason, cycle_period=period)
         return result, repeat, mu.assignment if at_repeat is None else at_repeat
 
     while stash:
@@ -682,19 +697,19 @@ def _reference_force_fit(stash: Stash, hosts, mu: Mapping, params: SolverParams)
         cls = classify(stash, hosts, mu, v, params.alpha)
         counts[cls.value] = counts.get(cls.value, 0) + 1
         if steps >= limit:
-            return end(False, "force-step budget exhausted")
+            return end("force-step budget exhausted")
         candidates = _capacity_candidates(v, hosts, mu.inst)
         if cls is ClusterClass.BALANCED:
             dest = choose_host_balanced(v, candidates, mu, prohibitor)
         else:
             dest = choose_host_lopsided(v, candidates, mu, prohibitor, toggle)
         if dest is None:
-            return end(False, f"vm {v} fits no destination")
+            return end(f"vm {v} fits no destination")
         steps += 1
         stash.pop()
         evict = force_fit_balanced if cls is ClusterClass.BALANCED else force_fit_lopsided
         stash.extend(evict(v, dest, mu))
-    return end(True)
+    return end()
 
 
 def _differential(stash: Stash, engine: ReleaseEngine, params: SolverParams, run=force_fit):
@@ -1377,6 +1392,18 @@ class TestFirstMissProbe:
             assert mu.assignment == mu_plain.assignment, key
             assert report.attempts == plain.attempts, key
             assert (report.objective, report.force_steps) == (plain.objective, plain.force_steps)
+
+
+def test_outcome_flags_are_derived_and_optional_fields_keyword_only():
+    assert ForceFitResult(0, {}).completed
+    assert not ForceFitResult(0, {}, reason="vm 0 fits no host").completed
+    attempt = ReleaseAttempt(0, True, 0, {}, 1, 0, "accepted")
+    assert attempt.accepted and not replace(attempt, outcome="objective_rejected").accepted
+    # the old positional forms, with the flag as a field, fail loudly
+    with pytest.raises(TypeError):
+        ForceFitResult(0, {}, False, "vm 0 fits no host")
+    with pytest.raises(TypeError):
+        ReleaseAttempt(0, True, True, 0, {}, 1, 0, "accepted")
 
 
 def test_solver_params_validation():
