@@ -19,10 +19,18 @@ flavor for ``in`` and then for ``out``.  No ``Bounds`` section is written:
 LP readers, ``parse_lp`` and ``solve`` included, bound every variable,
 general integers too, to ``[0, inf)`` by default.
 
+Each row is formatted whole, by one expression formatter, and written in one
+piece (the link rows one VM's block at a time).  The objective, with a term
+per host plus one per VM or per (flavor, host), is written one group of
+terms at a time, so that an export holds at most one row's text besides its
+table of names and peaks below the size of the text it writes.
+
 ``parse_lp`` reads LP text in the subset written here back into an
 ``LpModel``, whose rows are the compressed sparse row (CSR) arrays of the
 constraint matrix, and ``solve`` hands those arrays to HiGHS through
-``scipy.optimize.milp``; scipy is imported only when ``solve`` runs.
+``scipy.optimize.milp``; scipy is imported only when ``solve`` runs.  One
+loop in ``parse_lp`` reads the terms of every row and of the objective; the
+lexer splits only a line with a glued token such as ``-2x``.
 
 Solutions come back as plain ``name value`` lines, one variable per line.
 The objective is always recomputed from the variable values; the solver's
@@ -40,7 +48,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, count
+from itertools import chain, compress, count, repeat
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .model import Instance, Mapping, ObjectiveWeights
@@ -120,40 +129,43 @@ def _fmt_num(x) -> str:
     return text or "0"
 
 
-def _expr(terms: Iterable[tuple[object, str]], keep_zero: str | None = None) -> Iterator[str]:
-    """The text of the linear expression ``terms``, ``x - 2 y + z``, in
-    pieces, one per nonzero term.  Without a nonzero term it is
-    ``0 keep_zero``, or a ``ValueError`` when ``keep_zero`` is None."""
-    first = True
-    for coef, name in terms:
-        if coef == 0:
-            continue
-        mag = _fmt_num(abs(coef))
-        term = name if mag == "1" else f"{mag} {name}"
-        if coef < 0:
-            yield f"- {term}" if first else f" - {term}"
-        else:
-            yield term if first else f" + {term}"
-        first = False
-    if first:
+def _expr(terms: Iterable[tuple[object, str]], keep_zero: str | None = None) -> str:
+    """The text of the linear expression ``terms``, ``x - 2 y + z``, with
+    every zero term left out.  Without a nonzero term it is ``0 keep_zero``,
+    or a ``ValueError`` when ``keep_zero`` is None."""
+    # each term with its sign in front, " + x" or " - 2 y"; an int
+    # coefficient is formatted inline, any other by _fmt_num
+    text = "".join([
+        (" - " if coef < 0 else " + ") + (name if (mag := _fmt_num(abs(coef))) == "1" else f"{mag} {name}")
+        if type(coef) is not int
+        else (f" + {name}" if coef == 1 else f" + {coef} {name}") if coef > 0
+        else f" - {name}" if coef == -1 else f" - {-coef} {name}"
+        for coef, name in terms
+        if coef
+    ])
+    if not text:
         if keep_zero is None:
             raise ValueError("empty linear expression")
-        yield f"0 {keep_zero}"
+        return f"0 {keep_zero}"
+    return text[1:] if text[1] == "-" else text[3:]
 
 
-def _objective(
-    out: TextIO, w_a, active: list[str], migration: Iterable[tuple[object, str]]
-) -> None:
-    """Write the ``Minimize`` section, ``w_a`` per active host plus the
-    ``migration`` terms, term by term, and the ``Subject To`` header."""
+def _objective(out: TextIO, groups: Iterable[Sequence[tuple[object, str]]]) -> None:
+    """Write the ``Minimize`` section, the sum of the expressions ``groups``
+    (lists of terms) written one group at a time, and the ``Subject To``
+    header."""
     write = out.write
     write("Minimize\n obj: ")
-    for piece in _expr(chain(((w_a, name) for name in active), migration), keep_zero="active_h0"):
-        write(piece)
-    write("\nSubject To\n")
+    written = False
+    for group in groups:
+        if any(coef for coef, _ in group):
+            text = _expr(group)
+            write(text if not written else f" {text}" if text[0] == "-" else f" + {text}")
+            written = True
+    write("\nSubject To\n" if written else "0 active_h0\nSubject To\n")
 
 
-def _declare(out: TextIO, header: str, groups: Iterable[list[str]]) -> None:
+def _declare(out: TextIO, header: str, groups: Iterable[Sequence[str]]) -> None:
     """Write ``header`` and then one line per nonempty group of ``groups``,
     its names separated by spaces, or nothing when every group is empty."""
     write = out.write
@@ -175,32 +187,33 @@ def emit_allocation_model(inst: Instance, weights: ObjectiveWeights, out: TextIO
     n_vms = len(inst.vms)
     n_hosts = len(inst.hosts)
     w_mig = _migration_weight(weights)
-    alloc = [[f"alloc_v{v}_h{h}" for h in range(n_hosts)] for v in range(n_vms)]
+    alloc = [[f"alloc_v{v}_h{h}" for v in range(n_vms)] for h in range(n_hosts)]  # by host
     active = [f"active_h{h}" for h in range(n_hosts)]
     migr = [f"migr_v{v}" for v in range(n_vms)]
     write = out.write
 
-    _objective(out, weights.w_a, active, ((w_mig * m, name) for m, name in zip(inst._vm_mem, migr)))
+    migration = [(w_mig * m, name) for m, name in zip(inst._vm_mem, migr)]
+    _objective(out, [[(weights.w_a, name) for name in active], migration])
 
     # fixed-shape rows are formatted directly; every VM has an initial host,
-    # so n_hosts > 0 whenever a VM row exists and no expression is empty
-    for v in range(n_vms):
-        write(f" assign_v{v}: {' + '.join(alloc[v])} = 1\n")
+    # so n_hosts > 0 whenever a VM row exists and no expression is empty.
+    # zip(*alloc) yields one VM's names at a time and keeps no second table.
+    for v, names in enumerate(zip(*alloc)):
+        write(f" assign_v{v}: {' + '.join(names)} = 1\n")
     for resource, need, caps in (
         ("cpu", inst._vm_cpu, inst._cap_cpu),
         ("mem", inst._vm_mem, inst._cap_mem),
     ):
         for h in range(n_hosts):
-            terms = [(need[v], alloc[v][h]) for v in range(n_vms)]
-            expr = "".join(_expr(terms, keep_zero=active[h]))
+            expr = _expr(zip(need, alloc[h]), keep_zero=active[h])
             write(f" {resource}_h{h}: {expr} <= {_fmt_num(caps[h])}\n")
+    for v, names in enumerate(zip(*alloc)):
+        links = enumerate(zip(names, active))
+        write("".join([f" link_v{v}_h{h}: {name} - {act} <= 0\n" for h, (name, act) in links]))
     for v in range(n_vms):
-        for h, name in enumerate(alloc[v]):
-            write(f" link_v{v}_h{h}: {name} - {active[h]} <= 0\n")
-    for v in range(n_vms):
-        write(f" migr_v{v}: {migr[v]} + {alloc[v][inst._initial[v]]} = 1\n")
+        write(f" migr_v{v}: {migr[v]} + {alloc[inst._initial[v]][v]} = 1\n")
 
-    _declare(out, "Binary", [*alloc, active, migr])
+    _declare(out, "Binary", chain(zip(*alloc), [active, migr]))
     write("End\n")
     return expected_counts(ModelKind.ALLOCATION, n_vms, n_hosts, len(inst.flavors))
 
@@ -218,29 +231,29 @@ def emit_flavor_flow_model(
     outflow = [[f"out_f{f}_h{h}" for h in range(n_hosts)] for f in range(n_flavors)]
     write = out.write
 
-    migration = ((w_mig * demands[f].mem, name) for f in range(n_flavors) for name in outflow[f])
-    _objective(out, weights.w_a, active, migration)
+    migration = ([(w_mig * demands[f].mem, name) for name in outflow[f]] for f in range(n_flavors))
+    _objective(out, chain([[(weights.w_a, name) for name in active]], migration))
 
     for f in range(n_flavors):
-        terms = [(1, name) for name in outflow[f]]
-        terms += [(-1, name) for name in inflow[f]]
-        write(f" flow_f{f}: {''.join(_expr(terms))} = 0\n")
+        expr = _expr(chain(zip(repeat(1), outflow[f]), zip(repeat(-1), inflow[f])))
+        write(f" flow_f{f}: {expr} = 0\n")
     for f in range(n_flavors):
         for h, n in enumerate(counts[f]):
             write(f" outcap_f{f}_h{h}: {outflow[f][h]} <= {n}\n")
     for f in range(n_flavors):
         for h, n_fh in enumerate(counts[f]):
             out_fh = outflow[f][h]
-            expr = "".join(_expr([(-n_fh, active[h]), (-1, out_fh)], keep_zero=out_fh))
-            write(f" evac_f{f}_h{h}: {expr} <= {_fmt_num(-n_fh)}\n")
+            expr = _expr(((-n_fh, active[h]), (-1, out_fh)), keep_zero=out_fh)
+            write(f" evac_f{f}_h{h}: {expr} <= {-n_fh}\n")
     for resource, caps in (("cpu", inst._cap_cpu), ("mem", inst._cap_mem)):
         need = [getattr(d, resource) for d in demands]
+        minus = [-n for n in need]
         for h in range(n_hosts):
-            terms = [(need[f], inflow[f][h]) for f in range(n_flavors)]
-            terms += [(-need[f], outflow[f][h]) for f in range(n_flavors)]
-            terms.append((-caps[h], active[h]))
-            rhs = -sum(need[f] * counts[f][h] for f in range(n_flavors))
-            write(f" {resource}_h{h}: {''.join(_expr(terms))} <= {_fmt_num(rhs)}\n")
+            on_h = itemgetter(h)  # host h's entry of a flavor's row
+            ins, outs = zip(need, map(on_h, inflow)), zip(minus, map(on_h, outflow))
+            expr = _expr(chain(ins, outs, [(-caps[h], active[h])]))
+            rhs = -sum(map(mul, need, map(on_h, counts)))
+            write(f" {resource}_h{h}: {expr} <= {_fmt_num(rhs)}\n")
 
     # the flows keep the default bounds [0, inf), so no Bounds section
     if not relaxed:
@@ -400,21 +413,19 @@ def _read_flow(
                 raise SolutionError(
                     f"evac_f{f}_h{h} violated: inactive host retains {counts[f][h]} VMs"
                 )
+    cpu = [flavor.demand.cpu for flavor in inst.flavors]
+    mem = [flavor.demand.mem for flavor in inst.flavors]
     for h in range(n_hosts):
-        for resource, cap in (("cpu", inst._cap_cpu[h]), ("mem", inst._cap_mem[h])):
+        net = [counts[f][h] + flow_in[f][h] - flow_out[f][h] for f in range(n_flavors)]
+        for resource, cap, need in (("cpu", inst._cap_cpu[h], cpu), ("mem", inst._cap_mem[h], mem)):
             total = 0.0
-            for f in range(n_flavors):
-                demand = getattr(inst.flavors[f].demand, resource)
-                total += demand * (counts[f][h] + flow_in[f][h] - flow_out[f][h])
+            for demand, n in zip(need, net):
+                total += demand * n
             if total > cap * active[h] + _TOL:
                 raise SolutionError(
                     f"{resource}_h{h} violated: load {total} > {cap * active[h]}"
                 )
-    mem_out = sum(
-        inst.flavors[f].demand.mem * flow_out[f][h]
-        for f in range(n_flavors)
-        for h in range(n_hosts)
-    )
+    mem_out = sum(mem[f] * flow_out[f][h] for f in range(n_flavors) for h in range(n_hosts))
     objective = weights.w_a * sum(active) + weights.w_m * mem_out
     return SolutionReport(kind, objective, None, values)
 
@@ -540,67 +551,6 @@ def _number(numbers: dict[str | float, float], tok: str) -> float:
     return value
 
 
-def _linear(
-    tokens: list[str],
-    columns: dict[str, int],
-    numbers: dict[str | float, float],
-    indices: list[int],
-    data: list[float],
-    spaced: bool = False,
-) -> None:
-    """Append the terms ``[sign] [coefficient] name`` of a linear expression,
-    given as its whitespace-separated tokens, to ``indices`` (column numbers,
-    read from ``columns``, which numbers a new name) and ``data``
-    (coefficients); a variable repeated in the expression is summed, in
-    order, into its first term.  ``numbers`` maps each coefficient token,
-    and the float of each negated coefficient, to the one float object the
-    model keeps for it.
-
-    A token that glues a sign, a coefficient and a variable together
-    (``-2x``) sends the whole expression through the lexer once, which
-    splits them apart.  Of two signs in a row the later one counts; a
-    coefficient or sign with no variable after it is an error.
-    """
-    start = len(indices)
-    sign = coef = None
-    for tok in tokens:
-        if not tok.isidentifier():
-            if tok in _SIGNS or tok.isdecimal() or _IS_NUMBER(tok):
-                if coef is not None:
-                    raise LpFormatError(f"coefficient {coef:g} without a variable")
-                if tok in _SIGNS:
-                    sign = tok
-                else:
-                    coef = numbers[tok] if tok in numbers else _number(numbers, tok)
-                    if coef == _INF:  # unsigned digits overflow to +inf only
-                        raise LpFormatError("non-finite coefficient")
-                continue
-            if not _IS_NAME(tok):
-                if spaced:
-                    raise LpFormatError(f"unexpected text {tok!r}")
-                del indices[start:], data[start:]
-                return _linear(_LEXEMES(" ".join(tokens)), columns, numbers, indices, data, spaced=True)
-        if coef is None:
-            value = -1.0 if sign == "-" else 1.0
-        elif sign == "-":
-            value = numbers.get(coef)
-            if value is None:
-                value = numbers[coef] = 0.0 - coef
-        else:
-            value = coef
-        indices.append(columns[tok])
-        data.append(value)
-        sign = coef = None
-    if sign is not None or coef is not None:
-        raise LpFormatError("sign or coefficient without a variable")
-    n = len(indices) - start
-    if n > 1 and (indices[-1] == indices[-2] if n == 2 else len(set(indices[start:])) < n):
-        terms: dict[int, float] = {}
-        for col, value in zip(indices[start:], data[start:]):
-            terms[col] = _finite(terms[col] + value, "coefficient") if col in terms else value
-        indices[start:], data[start:] = terms, terms.values()
-
-
 def _finite(value: float, what: str) -> float:
     if not math.isfinite(value):
         raise LpFormatError(f"non-finite {what}")
@@ -653,21 +603,31 @@ def parse_lp(text: str) -> LpModel:
     headers), and comments from a backslash to the end of the line.  Text
     after ``End`` is ignored.
 
+    A row or objective line is a sum of terms ``[sign] [coefficient] name``,
+    read by one loop; a variable repeated in one line is summed, in order,
+    into its first term.  Of two signs in a row the later one counts.  A
+    token that glues a sign, a coefficient and a variable together (``-2x``)
+    sends the whole line's terms through the lexer once, which splits them
+    apart.
+
     Raises ``LpFormatError`` naming the line number and its text for a row
     without a sense, a row label that is not a name or repeats one (an
     unnamed row is named ``row{n}``, n its index), a bad number or
-    expression, a non-finite coefficient or right-hand side, a bound that is
-    neither a number nor infinite, an unsupported bounds line, or a declared
-    or bounded token that is not a variable name.  A right-hand side or
-    bound is a number as the lexer reads a coefficient, with an optional
-    sign (so ``1_0`` is none); a bound may also be infinite.
+    expression (a coefficient or sign with no variable after it), a
+    non-finite coefficient or right-hand side, a bound that is neither a
+    number nor infinite, an unsupported bounds line, or a declared or
+    bounded token that is not a variable name.  A right-hand side or bound
+    is a number as the lexer reads a coefficient, with an optional sign (so
+    ``1_0`` is none); a bound may also be infinite.
     """
     model = LpModel()
     columns: defaultdict[str, int] = defaultdict(count().__next__)  # a new name is the next column
     indices, data, integrality = model.indices, model.data, model.integrality
+    add_col, add_coef = indices.append, data.append
     add_sense, add_rhs, add_end = model.senses.append, model.rhs.append, model.indptr.append
     objective: dict[int, float] = {}  # by column, until the names are known
-    numbers: dict[str | float, float] = {}  # one float per number token
+    # one float per number token, and per negated coefficient by its float
+    numbers: dict[str | float, float] = {}
     row_names: dict[str, None] = {}  # a set of the names, at half a set's size
     section = None
     try:
@@ -709,24 +669,75 @@ def parse_lp(text: str) -> LpModel:
                 rhs = numbers[rhs] if rhs in numbers else _number(numbers, rhs)
                 if not -_INF < rhs < _INF:
                     raise LpFormatError("non-finite right-hand side")
-                _linear(lhs, columns, numbers, indices, data)
-                add_sense(_SENSES[sense])
-                add_rhs(rhs)
-                add_end(len(indices))
             elif section == "objective":
                 _, colon, body = line.partition(":")
-                cols, coefs = [], []
-                _linear((body if colon else line).split(), columns, numbers, cols, coefs)
-                for col, coef in zip(cols, coefs):
-                    objective[col] = _finite(objective[col] + coef, "coefficient") if col in objective else coef
+                lhs = body.split() if colon else tokens
             elif section == "bounds":
                 columns[_bound(model, tokens)]  # numbers the bounded variable
+                continue
             elif section is not None:
                 bit = _GENERAL if section == "general" else _BINARY
-                cols = [columns[_name(name)] for name in tokens]
+                names = tokens if all(map(str.isidentifier, tokens)) else map(_name, tokens)
+                cols = list(map(columns.__getitem__, names))
                 integrality.extend(bytes(len(columns) - len(integrality)))
                 for col in cols:
                     integrality[col] |= bit
+                continue
+            else:
+                continue
+            # the terms of lhs, appended to indices (columns) and data
+            start = len(indices)
+            for spaced in (False, True):
+                sign = coef = None
+                for tok in lhs:
+                    if tok in _SIGNS:
+                        if coef is not None:
+                            raise LpFormatError(f"coefficient {coef:g} without a variable")
+                        sign = tok
+                        continue
+                    if not tok.isidentifier():
+                        if tok.isdecimal() or _IS_NUMBER(tok):
+                            if coef is not None:
+                                raise LpFormatError(f"coefficient {coef:g} without a variable")
+                            coef = numbers[tok] if tok in numbers else _number(numbers, tok)
+                            if coef == _INF:  # unsigned digits overflow to +inf only
+                                raise LpFormatError("non-finite coefficient")
+                            continue
+                        if not _IS_NAME(tok):
+                            if spaced:
+                                raise LpFormatError(f"unexpected text {tok!r}")
+                            break  # a glued token: read the lexer's tokens instead
+                    if coef is None:
+                        value = -1.0 if sign == "-" else 1.0
+                    elif sign == "-":
+                        value = numbers.get(coef)
+                        if value is None:
+                            value = numbers[coef] = 0.0 - coef
+                    else:
+                        value = coef
+                    add_col(columns[tok])
+                    add_coef(value)
+                    sign = coef = None
+                else:
+                    break
+                del indices[start:], data[start:]
+                lhs = _LEXEMES(" ".join(lhs))
+            if sign is not None or coef is not None:
+                raise LpFormatError("sign or coefficient without a variable")
+            n = len(indices) - start
+            if n > 1 and (indices[-1] == indices[-2] if n == 2 else len(set(indices[start:])) < n):
+                terms: dict[int, float] = {}
+                for col, value in zip(indices[start:], data[start:]):
+                    terms[col] = _finite(terms[col] + value, "coefficient") if col in terms else value
+                indices[start:], data[start:] = terms, terms.values()
+            if section == "constraints":
+                add_sense(_SENSES[sense])
+                add_rhs(rhs)
+                add_end(len(indices))
+            else:  # the objective's terms leave the row lists
+                for col, coef in zip(indices[start:], data[start:]):
+                    objective[col] = _finite(objective[col] + coef, "coefficient") if col in objective else coef
+                del indices[start:], data[start:]
     except ValueError as exc:
         raise LpFormatError(f"line {lineno}: {exc}: {raw.strip()!r}") from exc
     model.order, model.row_names = list(columns), list(row_names)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -560,9 +561,9 @@ def _capacities(doc: dict, kind: str, cls) -> list:
     out = []
     for i, entry in enumerate(doc[kind]):
         ident = _require_int(entry, "id", kind, i)
-        vec = ResourceVec(_require_int(entry, "cpu", kind, i), _require_int(entry, "mem", kind, i))
+        cpu, mem = _require_int(entry, "cpu", kind, i), _require_int(entry, "mem", kind, i)
         try:
-            out.append(cls(ident, vec))
+            out.append(cls(ident, ResourceVec(cpu, mem)))
         except ValueError as exc:
             raise InstanceFormatError(f"{kind}[{i}]: {exc}") from exc
     return out
@@ -604,6 +605,10 @@ def load_instance(path: str | Path) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal longer than int() reads
+        raise InstanceFormatError(f"an integer exceeds {sys.get_int_max_str_digits()} digits") from exc
+    except RecursionError as exc:
+        raise InstanceFormatError("JSON nested too deeply") from exc
     return instance_from_dict(doc)
 
 

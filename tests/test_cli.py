@@ -1,11 +1,14 @@
+import contextlib
 import csv
+import io
 import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from balcon import instance_to_dict, load_instance
+from balcon import InfeasibleInstanceError, InstanceFormatError, instance_to_dict, load_instance
 from balcon import cli
 from balcon.cli import main, parse_mph
 
@@ -177,6 +180,120 @@ class TestExitCodes:
 
     def test_oracle_size_refusal(self, tmp_path, fig2_path):
         assert main(["oracle", "--max-vms", "2", str(fig2_path)]) == 2
+
+
+# JSON texts of values that do not belong in an instance document, or only
+# sometimes: huge, negative and 5,000-digit integers, bools, floats,
+# non-finite literals, strings, containers and deep nesting
+_JSON_VALUES = st.one_of(
+    st.integers(-(10**30), 10**30).map(str),
+    st.floats().map(json.dumps),
+    st.text(max_size=4).map(json.dumps),
+    st.sampled_from(
+        ["0", "1", "-1", "2", "7", "true", "false", "null", "1.0", "-0.0", "1e400", "NaN", "-Infinity",
+         "[]", "{}", "[1]", '{"id": 0}', "1" + "0" * 4999, "[" * 5000 + "]" * 5000]
+    ),
+)
+_KINDS = st.sampled_from(["hosts", "flavors", "vms"])
+_FIELDS = st.sampled_from(["id", "cpu", "mem", "flavor", "host", "extra"])
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("set"), _KINDS, st.integers(0, 5), _FIELDS, _JSON_VALUES),
+    st.tuples(st.just("drop"), _KINDS, st.integers(0, 5), _FIELDS),
+    st.tuples(st.just("duplicate"), _KINDS, st.integers(0, 5)),
+    st.tuples(st.just("entry"), _KINDS, st.integers(0, 5), _JSON_VALUES),
+    st.tuples(st.just("top"), st.sampled_from(["hosts", "flavors", "vms", "other"]), _JSON_VALUES),
+    st.tuples(st.just("remove"), st.sampled_from(["hosts", "flavors", "vms"])),
+)
+
+
+def _mutated(mutations: list) -> str:
+    """The fig2 instance document with ``mutations`` applied, as JSON text.
+    A drawn value is JSON text; it stands in for a placeholder string, so
+    that no integer longer than ``json.dumps`` writes is ever converted."""
+    doc = instance_to_dict(make_fig2())
+    raw: list[str] = []
+
+    def hole(text: str) -> str:
+        raw.append(text)
+        return f"\x00{len(raw) - 1}\x00"
+
+    for op, *args in mutations:
+        if op == "remove":
+            doc.pop(args[0], None)
+            continue
+        if op == "top":
+            doc[args[0]] = hole(args[1])
+            continue
+        entries = doc.get(args[0])
+        if not isinstance(entries, list) or not entries:
+            continue
+        i = args[1] % len(entries)
+        if op == "duplicate":
+            entries.append(entries[i])
+        elif op == "entry":
+            entries[i] = hole(args[2])
+        elif isinstance(entries[i], dict):
+            entries[i] = dict(entries[i])
+            if op == "set":
+                entries[i][args[2]] = hole(args[3])
+            else:
+                entries[i].pop(args[2], None)
+    text = json.dumps(doc)
+    for n, value in enumerate(raw):
+        text = text.replace(json.dumps(f"\x00{n}\x00"), value)
+    return text
+
+
+def _loads_or_exits_2(text: str, directory) -> None:
+    """``load_instance`` returns an instance or raises ``InstanceFormatError``
+    or ``InfeasibleInstanceError``; ``balcon solve`` exits 0 on the first and
+    2 with that error alone on the others, never with a traceback."""
+    path = directory / "instance.json"
+    path.write_text(text)
+    try:
+        load_instance(path)
+        error = None
+    except (InstanceFormatError, InfeasibleInstanceError) as exc:
+        error = exc
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["solve", "-o", str(directory / "out.json"), str(path)])
+    if error is None:
+        assert code == 0
+    else:
+        assert (code, err.getvalue()) == (2, f"error: {error}\n")
+
+
+@pytest.fixture(scope="module")
+def loader_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("loader")
+
+
+class TestLoaderFuzz:
+    def test_five_thousand_digit_integer_is_named(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(_mutated([("set", "hosts", 0, "cpu", "1" + "0" * 4999)]))
+        with pytest.raises(InstanceFormatError, match="^an integer exceeds 4300 digits$"):
+            load_instance(path)
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err == "error: an integer exceeds 4300 digits\n"
+
+    def test_deep_nesting_is_named(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(_mutated([("top", "hosts", "[" * 100_000 + "]" * 100_000)]))
+        with pytest.raises(InstanceFormatError, match="^JSON nested too deeply$"):
+            load_instance(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_MUTATIONS, min_size=1, max_size=3))
+    def test_instance_or_error(self, loader_dir, mutations):
+        _loads_or_exits_2(_mutated(mutations), loader_dir)
+
+    @pytest.mark.slow
+    @settings(max_examples=5_000, deadline=None)
+    @given(st.lists(_MUTATIONS, min_size=1, max_size=3))
+    def test_instance_or_error_at_length(self, loader_dir, mutations):
+        _loads_or_exits_2(_mutated(mutations), loader_dir)
 
 
 class TestFlagRanges:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import os
@@ -29,7 +30,14 @@ from balcon import (
 from balcon import ilp
 from balcon.cli import main as cli_main
 from balcon.datagen import GenConfig, generate_instance
-from balcon.ilp import EmitCounts, LpFormatError, initial_flavor_counts, parse_lp, solve
+from balcon.ilp import (
+    MIGRATION_TIEBREAK_EPSILON,
+    EmitCounts,
+    LpFormatError,
+    initial_flavor_counts,
+    parse_lp,
+    solve,
+)
 
 from conftest import make_fig2
 
@@ -290,6 +298,84 @@ class TestParseFuzz:
         _parses_or_is_rejected(text)
 
 
+# no name starts with e or E, which a glued coefficient would read as its exponent
+_TERM_NAMES = st.sampled_from(["x", "y", "z1", "w_2", "v.a"])
+_TERM_NUMBERS = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.floats(0, 10**6).map(lambda value: f"{value:.3e}"),
+    st.sampled_from(["1e-06", "2.5E+3", "0.000003", "3.5", "1.5e2"]),
+)
+_SIGN_RUNS = ["+", "-", "--", "+-", "-+"]  # of two signs in a row the later one counts
+# (signs, coefficient, name, glued in the mixed text); only the first term
+# of a row may go without a sign
+_TERM = st.tuples(st.sampled_from(_SIGN_RUNS), st.one_of(st.none(), _TERM_NUMBERS), _TERM_NAMES, st.booleans())
+_ROW = st.tuples(
+    st.sampled_from(["", *_SIGN_RUNS]),
+    st.lists(_TERM, min_size=1, max_size=8),
+    st.sampled_from(["<=", ">=", "="]),
+    st.tuples(st.sampled_from(["", "-"]), _TERM_NUMBERS).map("".join),
+)
+_ROWS = st.lists(_ROW, min_size=1, max_size=6)
+
+
+def _terms(first_signs: str, terms: list) -> list:
+    return [(first_signs, *terms[0][1:]), *terms[1:]]
+
+
+def _row_text(first_signs: str, terms: list, mode: str) -> str:
+    """The expression ``terms`` (the first term's signs replaced by
+    ``first_signs``): ``spaced`` (``- 2 x + y``), ``glued`` (``-2x+y``), or
+    ``mixed``, spaced between terms with some terms glued (``- 2 x +y``)."""
+    parts = []
+    for signs, coef, name, glue in _terms(first_signs, terms):
+        tight = mode == "glued" or (mode == "mixed" and glue)
+        parts.append(("" if tight else " ").join(piece for piece in (*signs, coef, name) if piece))
+    return ("" if mode == "glued" else " ").join(parts)
+
+
+def _lp_text(rows: list, mode: str) -> str:
+    """An LP text whose objective is the first row's expression and whose
+    constraints are every row."""
+    sep = "" if mode == "glued" else " "
+    lines = ["Minimize", f" obj: {_row_text(*rows[0][:2], mode)}", "Subject To"]
+    for i, (first_signs, terms, sense, rhs) in enumerate(rows):
+        lines.append(f" c{i}: {sep.join([_row_text(first_signs, terms, mode), sense, rhs])}")
+    return "\n".join([*lines, "End", ""])
+
+
+def _summed(first_signs: str, terms: list) -> dict[str, float]:
+    """The expression's coefficients by variable, a repeated variable summed
+    in order into its first term."""
+    summed: dict[str, float] = {}
+    for signs, coef, name, _ in _terms(first_signs, terms):
+        value = float(coef or 1)
+        value = -value if signs.endswith("-") else value
+        summed[name] = summed[name] + value if name in summed else value
+    return summed
+
+
+class TestTermLoop:
+    """``parse_lp`` reads spaced terms in its row loop and sends a line with
+    a glued token through the lexer: both must build the same model."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ROWS)
+    def test_spaced_and_glued_texts_parse_alike(self, rows):
+        spaced, glued, mixed = (parse_lp(_lp_text(rows, mode)) for mode in ("spaced", "glued", "mixed"))
+        fields = ("order", "row_names", "senses", "rhs", "indptr", "indices", "data", "objective")
+        for name in fields:
+            assert getattr(spaced, name) == getattr(glued, name) == getattr(mixed, name), name
+        exprs = [_summed(first_signs, terms) for first_signs, terms, _, _ in rows]
+        order = list(dict.fromkeys(name for expr in exprs for name in expr))
+        assert spaced.order == order
+        assert spaced.objective == exprs[0]
+        assert spaced.rows == [
+            (f"c{i}", expr, sense, float(rhs)) for i, (expr, (_, _, sense, rhs)) in enumerate(zip(exprs, rows))
+        ]
+        # each row's columns in the order of their first term
+        assert [order[col] for col in spaced.indices] == [name for expr in exprs for name in expr]
+
+
 def _walk_lines() -> list[str]:
     """An LP model about 2.4 pieces of ``ilp._CHUNK`` characters long, as lines."""
     rows = [f" c{i}: x{i % 7} + {i % 5 + 2} y{i % 3} - z >= {i % 11}" for i in range(ilp._CHUNK // 11)]
@@ -368,10 +454,11 @@ class TestMemory:
     @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda kind: kind.value)
     def test_emission_peak_is_below_the_text(self, sixty_hosts, kind):
         """Emitting into a sink that keeps nothing peaks below the number of
-        characters written.  Measured (Python 3.11): 0.65x for alloc, 0.71x
-        for flow and 0.80x for flowlb, mostly the table of variable names.
-        Emitters that held every row and joined them read 4.79x, 6.24x and
-        5.83x."""
+        characters written.  Measured (Python 3.11): 0.65x for alloc, 0.79x
+        for flow and 0.89x for flowlb, mostly the table of variable names;
+        each row, and the objective one group of terms at a time, is held
+        whole.  Emitters that held every row and joined them read 4.79x,
+        6.24x and 5.83x, and one holding the objective whole 1.49x for flow."""
         sink = _CountingSink()
         _, peak, _ = _traced(lambda: emit_model(kind, sixty_hosts, W10, sink))
         assert peak < sink.chars
@@ -379,7 +466,7 @@ class TestMemory:
     def test_parse_transient_is_below_the_text(self, sixty_hosts):
         """``parse_lp``'s transient on the allocation text, its traced peak
         minus what the returned model holds, stays below the text's length.
-        Measured (Python 3.11): 0.52x; a parser that held the list of every
+        Measured (Python 3.11): 0.40x; a parser that held the list of every
         line read 2.24x."""
         text, _ = emit_text(ModelKind.ALLOCATION, sixty_hosts, W10)
         _, peak, held = _traced(lambda: parse_lp(text))
@@ -516,6 +603,93 @@ class TestEmission:
         assert counts[3] == [0, 0, 1]
         for f, row in enumerate(counts):
             assert sum(row) == sum(1 for v in fig2.vms if v.flavor == f)
+
+
+# sha256 of the text emit_model writes at mph 7/2, where w_a = 7/2 is written
+# 3.5; tests/data/golden_lp.json pins integral weights only.  Recorded by the
+# emitters that yielded one piece per term, before rows were formatted whole.
+FRACTIONAL_WEIGHT_SHA256 = {
+    "fig2/alloc": "b30575c536705b4dd5046ef453c46d8e373db648e93feebfbfe1e11233e339ec",
+    "fig2/flow": "09a85a306be0811fa3d591f255fd8e030d909ee4c2c31e41a7b99ac349bf7ea3",
+    "fig2/flowlb": "6f7acdbe9e6ee0a740145346b3b2c9b9cef630426c307666b9fc5c350af2dd4b",
+    "lopsided/hosts=20/seed=1/alloc": "25dace57e01b33bf2a2610aaa8b71e2f39f33200a364bf7c1f38fff57bf06e4e",
+    "lopsided/hosts=20/seed=1/flow": "064ec185472da320f46e5b9e57118d17575dbeda928c5fdce904f983c7232c91",
+    "lopsided/hosts=20/seed=1/flowlb": "5ed7a9eaa9fb46fcc4af80b3fa131ae8ede00e357b4dfa34da27668b1ec3a378",
+    "uniform/hosts=20/seed=1/alloc": "2ac4fa68fdb07b90675c1c67910a9b8f1c37f35457b9b9d918decc3fcb027fa3",
+    "uniform/hosts=20/seed=1/flow": "b6d1c342480c5f9231fa915c529fd1dadaf4f404b18b57918785dffc0d8db65f",
+    "uniform/hosts=20/seed=1/flowlb": "8e22e3ed80a2646a5748bc84efa892d99b70364b2ba046af6b1cd13445286524",
+}
+
+
+def test_fractional_weight_text_matches_recorded_digest(fig2):
+    # seed 1 is the first seed that generates the default 20-host instances
+    insts = {"fig2": fig2}
+    for mode in ("lopsided", "uniform"):
+        insts[f"{mode}/hosts=20/seed=1"] = generate_instance(GenConfig(seed=1, num_hosts=20, mode=mode))
+    weights = ObjectiveWeights.from_mph(Fraction(7, 2))
+    got = {}
+    for label, inst in insts.items():
+        for kind in ModelKind:
+            text, _ = emit_text(kind, inst, weights)
+            assert " 3.5 active_h" in text
+            got[f"{label}/{kind.value}"] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == FRACTIONAL_WEIGHT_SHA256
+
+
+def _pieces_expr(terms, keep_zero=None):
+    """The expression formatter as it was, a generator of one piece per
+    nonzero term; joined, it is what ``ilp._expr`` must return."""
+    first = True
+    for coef, name in terms:
+        if coef == 0:
+            continue
+        mag = ilp._fmt_num(abs(coef))
+        term = name if mag == "1" else f"{mag} {name}"
+        if coef < 0:
+            yield f"- {term}" if first else f" - {term}"
+        else:
+            yield term if first else f" + {term}"
+        first = False
+    if first:
+        if keep_zero is None:
+            raise ValueError("empty linear expression")
+        yield f"0 {keep_zero}"
+
+
+_COEFFICIENTS = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.integers(-(10**6), 10**6),
+    st.integers(-(10**6), 10**6).map(Fraction),  # integral
+    st.fractions(-(10**6), 10**6, max_denominator=10**9),
+    st.integers(-(10**7), 10**7).map(lambda k: k * MIGRATION_TIEBREAK_EPSILON),
+)
+_TERMS = st.lists(st.tuples(_COEFFICIENTS, st.sampled_from(["x", "active_h0", "alloc_v12_h3"])), max_size=8)
+
+
+class TestExpression:
+    """``ilp._expr`` formats one row in one piece, as the pieces did."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_TERMS, st.sampled_from([None, "active_h7"]))
+    def test_equals_the_joined_pieces(self, terms, keep_zero):
+        if keep_zero is None and not any(coef for coef, _ in terms):
+            with pytest.raises(ValueError, match="^empty linear expression$"):
+                "".join(_pieces_expr(terms))
+            with pytest.raises(ValueError, match="^empty linear expression$"):
+                ilp._expr(terms)
+        else:
+            assert ilp._expr(terms, keep_zero) == "".join(_pieces_expr(terms, keep_zero))
+
+    def test_all_zero_terms(self):
+        terms = [(0, "x"), (Fraction(0), "y")]
+        assert ilp._expr(terms, keep_zero="z") == "0 z"
+        with pytest.raises(ValueError, match="^empty linear expression$"):
+            ilp._expr(terms)
+
+    def test_signs_and_magnitudes(self):
+        terms = [(-1, "a"), (2, "b"), (Fraction(-7, 2), "c"), (Fraction(1), "d")]
+        terms.append((MIGRATION_TIEBREAK_EPSILON * 3, "e"))
+        assert ilp._expr(terms) == "- a + 2 b - 3.5 c + d + 0.000003 e"
 
 
 class TestReadSolution:

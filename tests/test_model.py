@@ -497,6 +497,13 @@ class TestJson:
         with pytest.raises(InstanceFormatError, match=rf"^{kind}\[1\]: "):
             instance_from_dict(doc)
 
+    @pytest.mark.parametrize("kind", ["hosts", "flavors"])
+    def test_negative_resource_named(self, fig2, kind):
+        doc = instance_to_dict(fig2)
+        doc[kind][1]["mem"] = -1
+        with pytest.raises(InstanceFormatError, match=rf"^{kind}\[1\]: mem must be non-negative, got -1$"):
+            instance_from_dict(doc)
+
     def test_infeasible_initial_mapping_names_host_and_dimension(self):
         doc = {
             "hosts": [{"id": 0, "cpu": 4, "mem": 3}],
